@@ -12,14 +12,10 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import product
 
 from . import verify
-from .dsl import (
-    load_config,
-    parse_basis_label,
-    parse_to_element,
-    print_canonical,
-)
+from .dsl import load_config, parse_basis_label, parse_to_element
 from .errors import ArityMismatch, DomainError, ParseError, PgrError
 from .groupring import GroupRing
 
@@ -28,12 +24,7 @@ VERBS = (
     "arity", "repl",
 )
 
-VERIFY_AXIOMS = (
-    "assoc", "ring-assoc", "distrib", "comm", "zero", "identity", "quer",
-    "nonderived", "gr-assoc", "gr-distrib", "gr-zero", "aug-hom", "all",
-)
-
-GR_SAMPLES = 500  # sampled cases for lifted group-ring laws
+VERIFY_AXIOMS = (*verify.TARGETS, "all")
 
 
 def _context_overrides(args) -> dict:
@@ -76,93 +67,6 @@ def _split_operands(ctx: GroupRing, text: str):
     return [parse_to_element(ctx, p) for p in parts]
 
 
-def _verify_reports(ctx: GroupRing, axiom: str, seed: int) -> list:
-    group, ring = ctx.group, ctx.ring
-    reports = []
-    if axiom in ("assoc", "all"):
-        reports.append(
-            verify.check_total_associativity(
-                group.mul, group.arity, universe=group.elements(),
-                seed=seed, structure=group.name,
-            )
-        )
-    if axiom in ("ring-assoc", "all"):
-        reports.append(
-            verify.check_total_associativity(
-                ring.mul, ring.n_r,
-                universe=ring.elements() if ring.is_finite else None,
-                sampler=None if ring.is_finite else ring.sample,
-                seed=seed, structure=ring.name,
-            )
-        )
-    if axiom in ("distrib", "all"):
-        reports.append(
-            verify.check_distributivity(
-                ring.add, ring.mul, ring.m_r, ring.n_r,
-                universe=ring.elements() if ring.is_finite else None,
-                sampler=None if ring.is_finite else ring.sample,
-                seed=seed, structure=ring.name,
-            )
-        )
-    if axiom in ("comm", "all"):
-        reports.append(
-            verify.check_axiom(ring, "additive-commutativity", seed=seed)
-        )
-    if axiom in ("zero", "all"):
-        reports.append(verify.check_axiom(ring, "zero-law", seed=seed))
-    if axiom in ("identity", "all"):
-        found = group.identities()
-        if not found:
-            reports.append(
-                verify.AxiomReport(
-                    group.name, "identity-law", "exhaustive", 0, "holds",
-                    note="no identity candidates",
-                )
-            )
-        for e in found:
-            reports.append(verify.check_axiom(group, "identity-law", e, seed=seed))
-    if axiom in ("quer", "all"):
-        reports.append(verify.check_axiom(group, "quer-law", seed=seed))
-    if axiom in ("nonderived", "all"):
-        reports.append(
-            verify.check_closure_nonderived(
-                group.binary_product, group.elements(),
-                group.binary_product_in_carrier, structure=group.name,
-            )
-        )
-    sampler = verify.element_sampler(ctx, max_support=2)
-    if axiom in ("gr-assoc", "all"):
-        reports.append(
-            verify.check_total_associativity(
-                ctx.mul, ctx.profile.gr_mul_arity, sampler=sampler,
-                samples=GR_SAMPLES, seed=seed, structure=ctx.name,
-            )
-        )
-    if axiom in ("gr-distrib", "all"):
-        reports.append(
-            verify.check_distributivity(
-                ctx.add, ctx.mul, ctx.profile.gr_add_arity,
-                ctx.profile.gr_mul_arity, sampler=sampler,
-                samples=GR_SAMPLES, seed=seed, structure=ctx.name,
-            )
-        )
-    if axiom in ("gr-zero", "all"):
-        reports.append(
-            verify.check_zero_law(
-                ctx.add, ctx.mul, ctx.zero(), ctx.profile.gr_add_arity,
-                ctx.profile.gr_mul_arity, sampler=sampler,
-                samples=GR_SAMPLES, seed=seed, structure=ctx.name,
-            )
-        )
-    if axiom in ("aug-hom", "all"):
-        reports.append(
-            verify.check_augmentation_homomorphism(
-                ctx, samples=GR_SAMPLES, seed=seed
-            )
-        )
-    return reports
-
-
 def run_command(
     ctx: GroupRing, verb: str, argument: str, *, seed: int = 0,
     as_json: bool = False,
@@ -172,12 +76,12 @@ def run_command(
     Returns (output text, exit status)."""
     if verb == "eval":
         x = parse_to_element(ctx, argument)
-        out = print_canonical(ctx, x)
+        out = ctx.render(x)
         return (json.dumps({"result": out}) if as_json else out), 0
     if verb in ("mul", "add"):
         operands = _split_operands(ctx, argument)
         x = ctx.mul(operands) if verb == "mul" else ctx.add(operands)
-        out = print_canonical(ctx, x)
+        out = ctx.render(x)
         return (json.dumps({"result": out}) if as_json else out), 0
     if verb == "aug":
         x = parse_to_element(ctx, argument)
@@ -194,12 +98,12 @@ def run_command(
                 json.dumps(
                     {
                         "found": q is not None,
-                        "result": None if q is None else print_canonical(ctx, q),
+                        "result": None if q is None else ctx.render(q),
                     }
                 ),
                 0,
             )
-        return ("NotFound" if q is None else print_canonical(ctx, q)), 0
+        return ("NotFound" if q is None else ctx.render(q)), 0
     if verb == "identities":
         labels = [ctx.group.label(e) for e in ctx.group.identities()]
         if as_json:
@@ -208,12 +112,7 @@ def run_command(
     if verb == "table":
         return _table(ctx, argument, as_json)
     if verb == "verify":
-        axiom = argument.strip() or "all"
-        if axiom not in VERIFY_AXIOMS:
-            raise DomainError(
-                f"unknown verify target {axiom!r}; one of {', '.join(VERIFY_AXIOMS)}"
-            )
-        reports = _verify_reports(ctx, axiom, seed)
+        reports = verify.target_reports(ctx, argument.strip() or "all", seed)
         failed = any(not r.holds for r in reports)
         if as_json:
             out = json.dumps({"reports": [r.to_dict() for r in reports]},
@@ -232,7 +131,7 @@ def run_command(
 
 def _table(ctx: GroupRing, argument: str, as_json: bool) -> tuple[str, int]:
     group = ctx.group
-    names = [p for p in argument.replace(",", " ").split() if p]
+    names = argument.split()
     if names:
         gens = [parse_basis_label(ctx, n) for n in names]
     else:
@@ -242,10 +141,8 @@ def _table(ctx: GroupRing, argument: str, as_json: bool) -> tuple[str, int]:
                 "table is only printed for 16 or fewer — pass a generator list"
             )
         gens = group.elements()
-    from itertools import product as iproduct
-
     rows = []
-    for word in iproduct(gens, repeat=group.arity):
+    for word in product(gens, repeat=group.arity):
         rows.append((*word, group.mul(word)))
     if as_json:
         return (

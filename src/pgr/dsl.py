@@ -218,12 +218,6 @@ def parse_basis_label(ctx: GroupRing, text: str):
     return key
 
 
-def print_canonical(ctx: GroupRing, x: GroupRingElement) -> str:
-    """Deterministic canonical rendering; printing then parsing is the
-    identity on canonical forms."""
-    return ctx.render(x)
-
-
 # configuration ---------------------------------------------------------------
 
 DEFAULT_CONFIG = {

@@ -109,7 +109,10 @@ class GroupRing:
                 raise DomainError(
                     f"{g!r} is not an element of {self.group.name}"
                 )
-            buckets.setdefault(g, []).append(self.ring.normalize(c))
+            c = self.ring.normalize(c)
+            if not self.ring.contains(c):
+                raise DomainError(f"{c!r} is not an element of {self.ring.name}")
+            buckets.setdefault(g, []).append(c)
         pairs = [(g, self._accumulate(cs)) for g, cs in buckets.items()]
         return self._canonical(pairs)
 

@@ -153,7 +153,10 @@ class AdiagGroup(NaryGroup):
         return (
             isinstance(g, tuple)
             and len(g) == 2
-            and all(isinstance(c, int) and 0 <= c < self.k for c in g)
+            and all(
+                isinstance(c, int) and not isinstance(c, bool) and 0 <= c < self.k
+                for c in g
+            )
         )
 
     def mul(self, word: Sequence[tuple[int, int]]) -> tuple[int, int]:

@@ -1,23 +1,32 @@
 """Axiom-certification engine.
 
-Each check enumerates cases exhaustively over a finite carrier (within a
-case budget) or samples them from a seeded generator, and returns a
-machine-readable report.  A failing report always carries the offending
-word together with the two unequal evaluations, so it can be re-checked
-independently.
+A law is a name, a word width and a test that returns the violation a
+word shows, or None.  Constructors build the laws (associativity,
+commutativity, distributivity, zero_law, identity_law, quer_law,
+augmentation_homomorphism) and one runner, check_law, checks any of them:
+it enumerates the words exhaustively over a finite carrier (within a case
+budget) or samples them from a seeded generator, and returns a
+machine-readable report.  check_closure_nonderived is the one aggregate
+check: it asks whether every binary product stays inside the carrier.  A
+failing report always carries the offending word together with the two
+unequal evaluations, so it can be re-checked independently.
+
+TARGETS names the checks the CLI runs on a context, and target_reports
+runs one of them, or all of them in table order.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from .arity import iterate_op
 from .errors import BudgetExceeded, DomainError
 from .groupring import GroupRing
+from .rings import PolyadicRing
 
 EXHAUSTIVE_BUDGET = 10**6  # evaluated words per check
 DEFAULT_SAMPLES = 1000
@@ -89,67 +98,21 @@ class AxiomReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _case_stream(
-    width: int,
-    universe: Sequence | None,
-    sampler: Callable[[random.Random], object] | None,
-    mode: str,
-    samples: int,
-    seed: int,
-    budget: int,
-):
-    """Produce (mode, case iterator, case count, seed, note) for a check over
-    `width`-tuples.  mode="auto" prefers exhaustion when the universe fits
-    the budget and otherwise degrades to sampling with an explicit note;
-    mode="exhaustive" refuses oversized universes instead."""
-    if universe is not None:
-        universe = list(universe)
-        total = len(universe) ** width
-        if mode == "exhaustive" or (mode == "auto" and total <= budget):
-            if total > budget:
-                raise BudgetExceeded(
-                    f"{total} cases exceed the exhaustive budget {budget}"
-                )
-            return "exhaustive", product(universe, repeat=width), total, None, None
-        rng = random.Random(seed)
-        note = None
-        if mode == "auto":
-            note = f"universe of {total} cases over budget; sampled"
-        cases = (
-            tuple(rng.choice(universe) for _ in range(width))
-            for _ in range(samples)
-        )
-        return "sampled", cases, samples, seed, note
-    if sampler is None:
-        raise DomainError("need a universe or a sampler")
-    if mode == "exhaustive":
-        raise DomainError("exhaustive mode needs a finite universe")
-    rng = random.Random(seed)
-    cases = (
-        tuple(sampler(rng) for _ in range(width)) for _ in range(samples)
-    )
-    return "sampled", cases, samples, seed, None
+@dataclass(frozen=True)
+class Law:
+    """One law over words of `width` operands: `test` returns the first
+    violation a word shows, or None when the word satisfies the law."""
+
+    name: str
+    width: int
+    test: Callable[[tuple], Counterexample | None]
 
 
-def check_total_associativity(
-    op: Callable[[Sequence], object],
-    n: int,
-    *,
-    universe: Sequence | None = None,
-    sampler: Callable | None = None,
-    mode: str = "auto",
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    budget: int = EXHAUSTIVE_BUDGET,
-    structure: str = "",
-) -> AxiomReport:
+def associativity(op: Callable[[Sequence], object], n: int) -> Law:
     """All n placements of an inner product inside a word of length 2n-1
     must agree."""
-    width = 2 * n - 1
-    mode_str, cases, count, seed_used, note = _case_stream(
-        width, universe, sampler, mode, samples, seed, budget
-    )
-    for word in cases:
+
+    def test(word):
         first = None
         for p in range(n):
             inner = op(word[p : p + n])
@@ -157,214 +120,172 @@ def check_total_associativity(
             if p == 0:
                 first = value
             elif value != first:
-                return AxiomReport(
-                    structure,
-                    "total-associativity",
-                    mode_str,
-                    count,
-                    "fails",
-                    seed_used,
-                    note,
-                    Counterexample(
-                        tuple(word),
-                        first,
-                        value,
-                        f"inner product at position 0 vs position {p}",
-                    ),
+                return Counterexample(
+                    tuple(word), first, value,
+                    f"inner product at position 0 vs position {p}",
                 )
-    return AxiomReport(
-        structure, "total-associativity", mode_str, count, "holds", seed_used, note
-    )
+        return None
+
+    return Law("total-associativity", 2 * n - 1, test)
 
 
-def check_commutativity(
-    op: Callable[[Sequence], object],
-    n: int,
-    *,
-    universe: Sequence | None = None,
-    sampler: Callable | None = None,
-    mode: str = "auto",
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    budget: int = EXHAUSTIVE_BUDGET,
-    structure: str = "",
-    axiom: str = "commutativity",
-) -> AxiomReport:
+def commutativity(
+    op: Callable[[Sequence], object], n: int, name: str = "commutativity"
+) -> Law:
     """The operation is invariant under every permutation of its operands."""
-    mode_str, cases, count, seed_used, note = _case_stream(
-        n, universe, sampler, mode, samples, seed, budget
-    )
-    for word in cases:
+
+    def test(word):
         base = op(word)
         for perm in permutations(word):
             if op(perm) != base:
-                return AxiomReport(
-                    structure,
-                    axiom,
-                    mode_str,
-                    count,
-                    "fails",
-                    seed_used,
-                    note,
-                    Counterexample(
-                        tuple(word), base, op(perm), f"permutation {perm!r}"
-                    ),
+                return Counterexample(
+                    tuple(word), base, op(perm), f"permutation {perm!r}"
                 )
-    return AxiomReport(structure, axiom, mode_str, count, "holds", seed_used, note)
+        return None
+
+    return Law(name, n, test)
 
 
-def check_distributivity(
+def distributivity(
     add: Callable[[Sequence], object],
     mul: Callable[[Sequence], object],
     m: int,
     n: int,
-    *,
-    universe: Sequence | None = None,
-    sampler: Callable | None = None,
-    mode: str = "auto",
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    budget: int = EXHAUSTIVE_BUDGET,
-    structure: str = "",
-) -> AxiomReport:
+) -> Law:
     """An m-ary sum placed in any of the n multiplication slots expands to
     the sum of the slot-wise products."""
-    width = m + n - 1
-    mode_str, cases, count, seed_used, note = _case_stream(
-        width, universe, sampler, mode, samples, seed, budget
-    )
-    for word in cases:
+
+    def test(word):
         xs, ys = word[:m], word[m:]
         total = add(xs)
         for p in range(n):
             lhs = mul((*ys[:p], total, *ys[p:]))
             rhs = add(tuple(mul((*ys[:p], x, *ys[p:])) for x in xs))
             if lhs != rhs:
-                return AxiomReport(
-                    structure,
-                    "distributivity",
-                    mode_str,
-                    count,
-                    "fails",
-                    seed_used,
-                    note,
-                    Counterexample(
-                        tuple(word), lhs, rhs, f"sum in multiplication slot {p}"
-                    ),
+                return Counterexample(
+                    tuple(word), lhs, rhs, f"sum in multiplication slot {p}"
                 )
-    return AxiomReport(
-        structure, "distributivity", mode_str, count, "holds", seed_used, note
-    )
+        return None
+
+    return Law("distributivity", m + n - 1, test)
 
 
-def check_zero_law(
+def zero_law(
     add: Callable[[Sequence], object],
     mul: Callable[[Sequence], object],
     zero,
     m: int,
     n: int,
-    *,
-    universe: Sequence | None = None,
-    sampler: Callable | None = None,
-    mode: str = "auto",
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    budget: int = EXHAUSTIVE_BUDGET,
-    structure: str = "",
-) -> AxiomReport:
+) -> Law:
     """Additive neutrality and multiplicative absorption of the zero, with
     the probe and the zero in every admissible position."""
-    width = max(n - 1, 1)
-    mode_str, cases, count, seed_used, note = _case_stream(
-        width, universe, sampler, mode, samples, seed, budget
-    )
-    for word in cases:
+
+    def test(word):
         r = word[0]
         for p in range(m):
             got = add((*(zero,) * p, r, *(zero,) * (m - 1 - p)))
             if got != r:
-                return AxiomReport(
-                    structure, "zero-law", mode_str, count, "fails", seed_used,
-                    note,
-                    Counterexample(
-                        (r,), got, r, f"additive neutrality, probe slot {p}"
-                    ),
+                return Counterexample(
+                    (r,), got, r, f"additive neutrality, probe slot {p}"
                 )
         fill = word[: n - 1]
         for p in range(n):
             got = mul((*fill[:p], zero, *fill[p:]))
             if got != zero:
-                return AxiomReport(
-                    structure, "zero-law", mode_str, count, "fails", seed_used,
-                    note,
-                    Counterexample(
-                        tuple(fill), got, zero, f"absorption, zero slot {p}"
-                    ),
+                return Counterexample(
+                    tuple(fill), got, zero, f"absorption, zero slot {p}"
                 )
-    return AxiomReport(
-        structure, "zero-law", mode_str, count, "holds", seed_used, note
-    )
+        return None
+
+    return Law("zero-law", max(n - 1, 1), test)
 
 
-def check_identity_law(
-    op: Callable[[Sequence], object],
-    n: int,
-    e,
+def identity_law(op: Callable[[Sequence], object], n: int, e) -> Law:
+    """Neutrality of the constant polyad of e, probed from both ends."""
+    pad = (e,) * (n - 1)
+
+    def test(word):
+        (x,) = word
+        lead = op((x, *pad))
+        trail = op((*pad, x))
+        if lead != x:
+            return Counterexample((x,), lead, x, "leading probe")
+        if trail != x:
+            return Counterexample((x,), trail, x, "trailing probe")
+        return None
+
+    return Law("identity-law", 1, test)
+
+
+def quer_law(op: Callable[[Sequence], object], n: int) -> Law:
+    """Each (x, x̄) pair satisfies op(x̄, x, ..., x) = x with x̄ in every
+    position; the words are single pairs, so the universe is the pairs."""
+
+    def test(word):
+        ((x, q),) = word
+        rest = (x,) * (n - 1)
+        for p in range(n):
+            got = op((*rest[:p], q, *rest[p:]))
+            if got != x:
+                return Counterexample((x, q), got, x, f"querelement in slot {p}")
+        return None
+
+    return Law("quer-law", 1, test)
+
+
+def check_law(
+    law: Law,
     *,
     universe: Sequence | None = None,
-    sampler: Callable | None = None,
+    sampler: Callable[[random.Random], object] | None = None,
     mode: str = "auto",
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     budget: int = EXHAUSTIVE_BUDGET,
     structure: str = "",
 ) -> AxiomReport:
-    """Neutrality of the constant polyad of e, probed from both ends."""
-    mode_str, cases, count, seed_used, note = _case_stream(
-        1, universe, sampler, mode, samples, seed, budget
-    )
-    pad = (e,) * (n - 1)
-    for (x,) in cases:
-        lead = op((x, *pad))
-        trail = op((*pad, x))
-        if lead != x or trail != x:
-            bad = lead if lead != x else trail
-            side = "leading" if lead != x else "trailing"
-            return AxiomReport(
-                structure, "identity-law", mode_str, count, "fails", seed_used,
-                note,
-                Counterexample((x,), bad, x, f"{side} probe"),
-            )
-    return AxiomReport(
-        structure, "identity-law", mode_str, count, "holds", seed_used, note
-    )
+    """Run `law` over words of its width and report the first violation.
 
-
-def check_quer_law(
-    op: Callable[[Sequence], object],
-    n: int,
-    pairs: Iterable[tuple],
-    *,
-    structure: str = "",
-) -> AxiomReport:
-    """Each (x, x̄) pair satisfies op(x̄, x, ..., x) = x with x̄ in every
-    position."""
-    pairs = list(pairs)
-    for x, q in pairs:
-        rest = (x,) * (n - 1)
-        for p in range(n):
-            got = op((*rest[:p], q, *rest[p:]))
-            if got != x:
-                return AxiomReport(
-                    structure, "quer-law", "exhaustive", len(pairs), "fails",
-                    None, None,
-                    Counterexample(
-                        (x, q), got, x, f"querelement in slot {p}"
-                    ),
+    Words come from `universe` or, without one, from `sampler`.
+    mode="auto" exhausts a universe whose words fit the budget and
+    otherwise samples it with an explicit note; mode="exhaustive" refuses
+    an oversized or missing universe instead.  Sampled words are drawn
+    operand by operand from Random(seed)."""
+    note = None
+    if universe is not None:
+        universe = list(universe)
+        total = len(universe) ** law.width
+        if mode == "exhaustive" or (mode == "auto" and total <= budget):
+            if total > budget:
+                raise BudgetExceeded(
+                    f"{total} cases exceed the exhaustive budget {budget}"
                 )
-    return AxiomReport(
-        structure, "quer-law", "exhaustive", len(pairs), "holds"
-    )
+            mode, count, seed = "exhaustive", total, None
+            words = product(universe, repeat=law.width)
+        else:
+            if mode == "auto":
+                note = f"universe of {total} cases over budget; sampled"
+
+            def sampler(rng):
+                return rng.choice(universe)
+
+    elif sampler is None:
+        raise DomainError("need a universe or a sampler")
+    elif mode == "exhaustive":
+        raise DomainError("exhaustive mode needs a finite universe")
+    if mode != "exhaustive":
+        rng = random.Random(seed)
+        mode, count = "sampled", samples
+        words = (
+            tuple(sampler(rng) for _ in range(law.width)) for _ in range(samples)
+        )
+    for word in words:
+        ce = law.test(word)
+        if ce is not None:
+            return AxiomReport(
+                structure, law.name, mode, count, "fails", seed, note, ce
+            )
+    return AxiomReport(structure, law.name, mode, count, "holds", seed, note)
 
 
 def check_closure_nonderived(
@@ -404,67 +325,6 @@ def check_closure_nonderived(
     )
 
 
-def check_axiom(
-    structure,
-    axiom: str,
-    subjects=None,
-    *,
-    mode: str = "auto",
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    budget: int = EXHAUSTIVE_BUDGET,
-) -> AxiomReport:
-    """Dispatch a named law against a ring or a group.
-
-    zero-law and additive-commutativity address rings; identity-law and
-    quer-law take the candidate element (or pairs) in `subjects`, with the
-    group's own querelements as the quer-law default.
-    """
-    is_group = hasattr(structure, "arity")
-    universe = None
-    sampler = None
-    if is_group:
-        universe = structure.elements()
-    elif structure.is_finite:
-        universe = structure.elements()
-    else:
-        sampler = structure.sample
-    kwargs = dict(
-        universe=universe, sampler=sampler, mode=mode, samples=samples,
-        seed=seed, budget=budget, structure=structure.name,
-    )
-    if axiom == "zero-law":
-        if is_group:
-            raise DomainError("zero-law applies to rings")
-        zero = structure.zero() if subjects is None else subjects
-        return check_zero_law(
-            structure.add, structure.mul, zero, structure.m_r, structure.n_r,
-            **kwargs,
-        )
-    if axiom == "additive-commutativity":
-        if is_group:
-            raise DomainError("additive-commutativity applies to rings")
-        return check_commutativity(
-            structure.add, structure.m_r, axiom="additive-commutativity",
-            **kwargs,
-        )
-    if axiom == "identity-law":
-        if subjects is None:
-            raise DomainError("identity-law needs a candidate element")
-        op = structure.mul
-        n = structure.arity if is_group else structure.n_r
-        return check_identity_law(op, n, subjects, **kwargs)
-    if axiom == "quer-law":
-        op = structure.mul
-        n = structure.arity if is_group else structure.n_r
-        if subjects is None:
-            if not is_group:
-                raise DomainError("quer-law over a ring needs explicit pairs")
-            subjects = [(g, structure.quer(g)) for g in structure.elements()]
-        return check_quer_law(op, n, subjects, structure=structure.name)
-    raise DomainError(f"unknown axiom {axiom!r}")
-
-
 # group-ring level checks ----------------------------------------------------
 
 
@@ -487,42 +347,139 @@ def element_sampler(ctx: GroupRing, max_support: int = 3):
     return sample
 
 
-def check_augmentation_homomorphism(
-    ctx: GroupRing,
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    max_support: int = 3,
-) -> AxiomReport:
+def augmentation_homomorphism(ctx: GroupRing) -> Law:
     """The coefficient-total map preserves both operations at unchanged
     arities: aug(add(xs)) equals the iterated ring sum of the totals, and
-    aug(mul(xs)) the iterated ring product of the totals."""
+    aug(mul(ys)) the iterated ring product of the totals.  A word is the
+    summands xs followed by the factors ys."""
     p = ctx.profile
-    rng = random.Random(seed)
-    draw = element_sampler(ctx, max_support)
-    for _ in range(samples):
-        xs = [draw(rng) for _ in range(p.gr_add_arity)]
+
+    def test(word):
+        xs, ys = word[: p.gr_add_arity], word[p.gr_add_arity :]
         lhs = ctx.augmentation(ctx.add(xs))
         rhs = iterate_op(
             ctx.ring.add, p.m_r, p.ell_m, [ctx.augmentation(x) for x in xs]
         )
         if lhs != rhs:
-            return AxiomReport(
-                ctx.name, "augmentation-homomorphism", "sampled", samples,
-                "fails", seed, None,
-                Counterexample(tuple(xs), lhs, rhs, "additive side"),
-            )
-        ys = [draw(rng) for _ in range(p.gr_mul_arity)]
+            return Counterexample(tuple(xs), lhs, rhs, "additive side")
         lhs = ctx.augmentation(ctx.mul(ys))
         rhs = iterate_op(
             ctx.ring.mul, p.n_r, p.ell_n, [ctx.augmentation(y) for y in ys]
         )
         if lhs != rhs:
-            return AxiomReport(
-                ctx.name, "augmentation-homomorphism", "sampled", samples,
-                "fails", seed, None,
-                Counterexample(tuple(ys), lhs, rhs, "multiplicative side"),
+            return Counterexample(tuple(ys), lhs, rhs, "multiplicative side")
+        return None
+
+    return Law("augmentation-homomorphism", p.gr_add_arity + p.gr_mul_arity, test)
+
+
+# the verify targets ------------------------------------------------------------
+
+GR_SAMPLES = 500  # sampled cases for lifted group-ring laws
+
+
+def _on_ring(law: Callable[[PolyadicRing], Law]):
+    """A scalar-ring law, exhausted over a finite ring and sampled over an
+    infinite one."""
+
+    def run(ctx: GroupRing, seed: int) -> list[AxiomReport]:
+        ring = ctx.ring
+        cases = (
+            {"universe": ring.elements()} if ring.is_finite
+            else {"sampler": ring.sample}
+        )
+        return [check_law(law(ring), **cases, seed=seed, structure=ring.name)]
+
+    return run
+
+
+def _identity_reports(ctx: GroupRing, seed: int) -> list[AxiomReport]:
+    group = ctx.group
+    found = group.identities()
+    if not found:
+        return [
+            AxiomReport(
+                group.name, "identity-law", "exhaustive", 0, "holds",
+                note="no identity candidates",
             )
-    return AxiomReport(
-        ctx.name, "augmentation-homomorphism", "sampled", samples, "holds", seed
-    )
+        ]
+    return [
+        check_law(
+            identity_law(group.mul, group.arity, e), universe=group.elements(),
+            seed=seed, structure=group.name,
+        )
+        for e in found
+    ]
+
+
+def _lifted(law: Callable[[GroupRing], Law], max_support: int = 2):
+    """A group-ring law sampled over elements with bounded support."""
+
+    def run(ctx: GroupRing, seed: int) -> list[AxiomReport]:
+        return [
+            check_law(
+                law(ctx), sampler=element_sampler(ctx, max_support),
+                samples=GR_SAMPLES, seed=seed, structure=ctx.name,
+            )
+        ]
+
+    return run
+
+
+# name -> (ctx, seed) -> reports, in the order `all` runs them
+TARGETS: dict[str, Callable[[GroupRing, int], list[AxiomReport]]] = {
+    "assoc": lambda ctx, seed: [
+        check_law(
+            associativity(ctx.group.mul, ctx.group.arity),
+            universe=ctx.group.elements(), seed=seed, structure=ctx.group.name,
+        )
+    ],
+    "ring-assoc": _on_ring(lambda r: associativity(r.mul, r.n_r)),
+    "distrib": _on_ring(lambda r: distributivity(r.add, r.mul, r.m_r, r.n_r)),
+    "comm": _on_ring(
+        lambda r: commutativity(r.add, r.m_r, "additive-commutativity")
+    ),
+    "zero": _on_ring(lambda r: zero_law(r.add, r.mul, r.zero(), r.m_r, r.n_r)),
+    "identity": _identity_reports,
+    "quer": lambda ctx, seed: [
+        check_law(
+            quer_law(ctx.group.mul, ctx.group.arity),
+            universe=[(g, ctx.group.quer(g)) for g in ctx.group.elements()],
+            seed=seed, structure=ctx.group.name,
+        )
+    ],
+    "nonderived": lambda ctx, seed: [
+        check_closure_nonderived(
+            ctx.group.binary_product, ctx.group.elements(),
+            ctx.group.binary_product_in_carrier, structure=ctx.group.name,
+        )
+    ],
+    "gr-assoc": _lifted(
+        lambda ctx: associativity(ctx.mul, ctx.profile.gr_mul_arity)
+    ),
+    "gr-distrib": _lifted(
+        lambda ctx: distributivity(
+            ctx.add, ctx.mul, ctx.profile.gr_add_arity, ctx.profile.gr_mul_arity
+        )
+    ),
+    "gr-zero": _lifted(
+        lambda ctx: zero_law(
+            ctx.add, ctx.mul, ctx.zero(), ctx.profile.gr_add_arity,
+            ctx.profile.gr_mul_arity,
+        )
+    ),
+    "aug-hom": _lifted(augmentation_homomorphism, max_support=3),
+}
+
+
+def target_reports(ctx: GroupRing, target: str, seed: int = 0) -> list[AxiomReport]:
+    """Run one named target of TARGETS, or every target in table order for
+    "all"."""
+    if target == "all":
+        return [r for run in TARGETS.values() for r in run(ctx, seed)]
+    if target not in TARGETS:
+        raise DomainError(
+            f"unknown verify target {target!r}; one of "
+            f"{', '.join((*TARGETS, 'all'))}"
+        )
+    return TARGETS[target](ctx, seed)

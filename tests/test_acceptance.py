@@ -29,14 +29,15 @@ from pgr import (
     validate_profile,
 )
 from pgr.cli import main
-from pgr.dsl import parse_to_element, print_canonical
+from pgr.dsl import parse_to_element
 from pgr.verify import (
-    check_augmentation_homomorphism,
-    check_commutativity,
-    check_distributivity,
-    check_total_associativity,
-    check_zero_law,
+    associativity,
+    augmentation_homomorphism,
+    check_law,
+    commutativity,
+    distributivity,
     element_sampler,
+    zero_law,
 )
 
 
@@ -146,9 +147,9 @@ def test_criterion_3_adiag_structure_facts(ctx):
 def test_criterion_4_exhaustive_ternary_associativity(ctx):
     with criterion(4, "total associativity over 59049 words", 30.0):
         group = ctx.group
-        report = check_total_associativity(
-            group.mul, 3, universe=group.elements(), mode="exhaustive",
-            structure=group.name,
+        report = check_law(
+            associativity(group.mul, 3), universe=group.elements(),
+            mode="exhaustive", structure=group.name,
         )
         assert report.holds
         assert report.mode == "exhaustive"
@@ -243,30 +244,33 @@ def test_criterion_7_lifted_ring_laws(ctx):
         p = ctx.profile
         add_n, mul_n = p.gr_add_arity, p.gr_mul_arity
 
-        assert check_distributivity(
-            ctx.add, ctx.mul, add_n, mul_n, sampler=sampler, samples=500,
-            seed=70, structure=ctx.name,
+        assert check_law(
+            distributivity(ctx.add, ctx.mul, add_n, mul_n), sampler=sampler,
+            samples=500, seed=70, structure=ctx.name,
         ).holds
-        assert check_commutativity(
-            ctx.add, add_n, sampler=sampler, samples=500, seed=71,
-            structure=ctx.name, axiom="additive-commutativity",
+        assert check_law(
+            commutativity(ctx.add, add_n, "additive-commutativity"),
+            sampler=sampler, samples=500, seed=71, structure=ctx.name,
         ).holds
-        assert check_total_associativity(
-            ctx.add, add_n, sampler=sampler, samples=500, seed=72,
-            structure=ctx.name,
+        assert check_law(
+            associativity(ctx.add, add_n), sampler=sampler, samples=500,
+            seed=72, structure=ctx.name,
         ).holds
-        assert check_zero_law(
-            ctx.add, ctx.mul, ctx.zero(), add_n, mul_n, sampler=sampler,
-            samples=500, seed=73, structure=ctx.name,
+        assert check_law(
+            zero_law(ctx.add, ctx.mul, ctx.zero(), add_n, mul_n),
+            sampler=sampler, samples=500, seed=73, structure=ctx.name,
         ).holds
-        assert check_augmentation_homomorphism(ctx, samples=500, seed=74).holds
+        assert check_law(
+            augmentation_homomorphism(ctx), sampler=sampler, samples=500,
+            seed=74, structure=ctx.name,
+        ).holds
 
         # negative controls: each corruption must be caught, and its
         # counterexample must reproduce the inequality when re-evaluated
         bad_mul = controls.AbsCoefficientMul(ctx)
-        report = check_distributivity(
-            ctx.add, bad_mul.mul, add_n, mul_n, sampler=sampler, samples=500,
-            seed=75, structure="corrupted-mul",
+        report = check_law(
+            distributivity(ctx.add, bad_mul.mul, add_n, mul_n),
+            sampler=sampler, samples=500, seed=75, structure="corrupted-mul",
         )
         assert not report.holds
         assert revalidate_distributivity(
@@ -274,15 +278,15 @@ def test_criterion_7_lifted_ring_laws(ctx):
         )
 
         bad_add = controls.SkewAdd(ctx)
-        report = check_commutativity(
-            bad_add.add, add_n, sampler=sampler, samples=500, seed=76,
-            structure="corrupted-add", axiom="additive-commutativity",
+        report = check_law(
+            commutativity(bad_add.add, add_n, "additive-commutativity"),
+            sampler=sampler, samples=500, seed=76, structure="corrupted-add",
         )
         assert not report.holds
         assert revalidate_commutativity(bad_add.add, report.counterexample)
 
-        report = check_zero_law(
-            ctx.add, ctx.mul, controls.fake_zero(ctx), add_n, mul_n,
+        report = check_law(
+            zero_law(ctx.add, ctx.mul, controls.fake_zero(ctx), add_n, mul_n),
             sampler=sampler, samples=500, seed=77, structure="corrupted-zero",
         )
         assert not report.holds
@@ -292,7 +296,10 @@ def test_criterion_7_lifted_ring_laws(ctx):
         )
 
         wrapped = controls.CorruptedAugmentation(ctx)
-        report = check_augmentation_homomorphism(wrapped, samples=500, seed=78)
+        report = check_law(
+            augmentation_homomorphism(wrapped), sampler=sampler, samples=500,
+            seed=78, structure=wrapped.name,
+        )
         assert not report.holds
         assert revalidate_augmentation(wrapped, report.counterexample)
 
@@ -324,7 +331,7 @@ def test_criterion_9_cli_and_parser(ctx, worked, capsys):
         for _ in range(500):
             support = rng.sample(keys, rng.randint(0, 5))
             x = ctx.element({g: rng.randint(-500, 500) for g in support})
-            assert parse_to_element(ctx, print_canonical(ctx, x)) == x
+            assert parse_to_element(ctx, ctx.render(x)) == x
 
         assert main(["eval", "5j*g5"]) == 0
         assert main(["eval", "5x*g5"]) == 1

@@ -96,6 +96,11 @@ class TestCommands:
         assert len(lines) == 8
         assert lines[0] == "g(1,1) g(1,1) g(1,1) -> g(0,0)"
 
+    def test_table_takes_both_label_spellings(self, capsys):
+        pair = run(capsys, ["table", "g(1,1)", "g(0,0)"])
+        assert pair[0] == 0
+        assert pair == run(capsys, ["table", "g5", "g1"])
+
     def test_table_full_for_small_group(self, capsys):
         status, out, _ = run(
             capsys, ["table", "--group", "derived", "--base", "cyclic:2",

@@ -14,8 +14,10 @@ from pgr import (
     GroupRing,
     InfiniteUniverse,
     JRootRing,
+    OddJRootSemigroup,
     PolyadicRing,
     QuantizationMismatch,
+    adjoin_zero,
     make_group_ring,
     validate_profile,
 )
@@ -45,6 +47,12 @@ class TestNormalization:
     def test_modular_coefficients_normalized(self):
         ctx = make_group_ring(JRootRing(2, 5), AdiagGroup(3))
         assert ctx.element({(1, 1): 7}) == ctx.element({(1, 1): 2})
+
+    def test_coefficient_outside_the_carrier_rejected(self):
+        ctx = make_group_ring(adjoin_zero(OddJRootSemigroup(2)), AdiagGroup(3))
+        assert ctx.element({(0, 0): 3}).terms == (((0, 0), 3),)
+        with pytest.raises(DomainError):
+            ctx.element({(0, 0): 2})
 
 
 class TestAddition:

@@ -33,6 +33,13 @@ class TestAdiagProduct:
             assert adiag3.mul(word) == oracle.product_key(3, *word)
 
 
+class TestMembership:
+    @pytest.mark.parametrize("g", [(True, 0), (0, False)])
+    def test_adiag_rejects_bool_exponents(self, adiag3, g):
+        assert not adiag3.contains(g)
+        assert adiag3.contains((1, 0))
+
+
 class TestQuerelement:
     def test_self_quer(self, adiag3):
         assert adiag3.quer((1, 2)) == (1, 2)

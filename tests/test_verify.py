@@ -5,16 +5,28 @@ import json
 import pytest
 
 import controls
-from pgr import AdiagGroup, BudgetExceeded, DerivedCyclicGroup, DomainError, JRootRing
+from pgr import (
+    AdiagGroup,
+    BudgetExceeded,
+    DerivedCyclicGroup,
+    DomainError,
+    JRootRing,
+    make_group_ring,
+)
+from pgr.cli import VERIFY_AXIOMS
 from pgr.verify import (
-    check_augmentation_homomorphism,
-    check_axiom,
+    TARGETS,
+    associativity,
+    augmentation_homomorphism,
     check_closure_nonderived,
-    check_commutativity,
-    check_distributivity,
-    check_total_associativity,
-    check_zero_law,
+    check_law,
+    commutativity,
+    distributivity,
     element_sampler,
+    identity_law,
+    quer_law,
+    target_reports,
+    zero_law,
 )
 
 
@@ -25,16 +37,18 @@ def int_sampler(rng):
 class TestTotalAssociativity:
     def test_adiag2_exhaustive(self):
         group = AdiagGroup(2)
-        report = check_total_associativity(
-            group.mul, 3, universe=group.elements(), structure=group.name
+        report = check_law(
+            associativity(group.mul, 3), universe=group.elements(),
+            structure=group.name,
         )
         assert report.holds
         assert report.mode == "exhaustive"
         assert report.cases == 4**5
 
     def test_jz_multiplication_sampled(self, jz):
-        report = check_total_associativity(
-            jz.mul, 3, sampler=jz.sample, samples=1000, seed=3, structure=jz.name
+        report = check_law(
+            associativity(jz.mul, 3), sampler=jz.sample, samples=1000, seed=3,
+            structure=jz.name,
         )
         assert report.holds
         assert report.mode == "sampled"
@@ -42,9 +56,9 @@ class TestTotalAssociativity:
         assert report.seed == 3
 
     def test_skew_op_fails_with_reusable_counterexample(self):
-        report = check_total_associativity(
-            controls.skew_ternary, 3, sampler=int_sampler, samples=100, seed=0,
-            structure="skew",
+        report = check_law(
+            associativity(controls.skew_ternary, 3), sampler=int_sampler,
+            samples=100, seed=0, structure="skew",
         )
         assert not report.holds
         ce = report.counterexample
@@ -61,8 +75,9 @@ class TestTotalAssociativity:
 
     def test_reproducible_given_seed(self, jz):
         runs = [
-            check_total_associativity(
-                jz.mul, 3, sampler=jz.sample, samples=50, seed=42, structure="x"
+            check_law(
+                associativity(jz.mul, 3), sampler=jz.sample, samples=50,
+                seed=42, structure="x",
             ).to_text()
             for _ in range(2)
         ]
@@ -71,16 +86,16 @@ class TestTotalAssociativity:
     def test_exhaustive_budget(self):
         group = AdiagGroup(3)
         with pytest.raises(BudgetExceeded):
-            check_total_associativity(
-                group.mul, 3, universe=group.elements(), mode="exhaustive",
-                budget=100,
+            check_law(
+                associativity(group.mul, 3), universe=group.elements(),
+                mode="exhaustive", budget=100,
             )
 
     def test_auto_degrades_to_sampling_with_note(self):
         group = AdiagGroup(3)
-        report = check_total_associativity(
-            group.mul, 3, universe=group.elements(), budget=100, samples=20,
-            structure=group.name,
+        report = check_law(
+            associativity(group.mul, 3), universe=group.elements(), budget=100,
+            samples=20, structure=group.name,
         )
         assert report.holds
         assert report.mode == "sampled"
@@ -90,8 +105,8 @@ class TestTotalAssociativity:
 class TestDistributivity:
     def test_mod3_exhaustive(self):
         ring = JRootRing(2, 3)
-        report = check_distributivity(
-            ring.add, ring.mul, 2, 3, universe=ring.elements(),
+        report = check_law(
+            distributivity(ring.add, ring.mul, 2, 3), universe=ring.elements(),
             structure=ring.name,
         )
         assert report.holds
@@ -99,9 +114,9 @@ class TestDistributivity:
         assert report.cases == 3**4
 
     def test_jz_sampled(self, jz):
-        report = check_distributivity(
-            jz.add, jz.mul, 2, 3, sampler=jz.sample, samples=1000, seed=1,
-            structure=jz.name,
+        report = check_law(
+            distributivity(jz.add, jz.mul, 2, 3), sampler=jz.sample,
+            samples=1000, seed=1, structure=jz.name,
         )
         assert report.holds
 
@@ -109,9 +124,9 @@ class TestDistributivity:
         def bad_mul(word):
             return abs(jz.mul(word))
 
-        report = check_distributivity(
-            jz.add, bad_mul, 2, 3, sampler=jz.sample, samples=200, seed=1,
-            structure="corrupted",
+        report = check_law(
+            distributivity(jz.add, bad_mul, 2, 3), sampler=jz.sample,
+            samples=200, seed=1, structure="corrupted",
         )
         assert not report.holds
         ce = report.counterexample
@@ -124,35 +139,65 @@ class TestDistributivity:
 
 class TestNamedAxioms:
     def test_zero_law_mod3(self):
-        report = check_axiom(JRootRing(2, 3), "zero-law")
+        ring = JRootRing(2, 3)
+        report = check_law(
+            zero_law(ring.add, ring.mul, ring.zero(), ring.m_r, ring.n_r),
+            universe=ring.elements(), structure=ring.name,
+        )
         assert report.holds and report.mode == "exhaustive"
 
     def test_zero_law_rejects_fake_zero(self, jz):
-        report = check_axiom(jz, "zero-law", 1, samples=50)
+        report = check_law(
+            zero_law(jz.add, jz.mul, 1, jz.m_r, jz.n_r), sampler=jz.sample,
+            samples=50, structure=jz.name,
+        )
         assert not report.holds
 
     def test_identity_law_adiag(self, adiag3):
-        report = check_axiom(adiag3, "identity-law", (1, 2))
+        report = check_law(
+            identity_law(adiag3.mul, 3, (1, 2)), universe=adiag3.elements(),
+            structure=adiag3.name,
+        )
         assert report.holds
         assert report.cases == 9
 
     def test_identity_law_rejects_non_identity(self, adiag3):
-        report = check_axiom(adiag3, "identity-law", (1, 0))
+        report = check_law(
+            identity_law(adiag3.mul, 3, (1, 0)), universe=adiag3.elements(),
+            structure=adiag3.name,
+        )
         assert not report.holds
         assert report.counterexample is not None
 
     def test_quer_law_all_pairs(self, adiag3):
-        report = check_axiom(adiag3, "quer-law")
+        report = check_law(
+            quer_law(adiag3.mul, 3),
+            universe=[(g, adiag3.quer(g)) for g in adiag3.elements()],
+            structure=adiag3.name,
+        )
         assert report.holds
         assert report.cases == 9
 
     def test_additive_commutativity(self, jz):
-        report = check_axiom(jz, "additive-commutativity", samples=200)
+        report = check_law(
+            commutativity(jz.add, jz.m_r, "additive-commutativity"),
+            sampler=jz.sample, samples=200, structure=jz.name,
+        )
         assert report.holds
 
-    def test_unknown_axiom(self, jz):
+    def test_unknown_axiom(self, ctx1):
         with pytest.raises(DomainError):
-            check_axiom(jz, "no-such-law")
+            target_reports(ctx1, "no-such-law")
+
+
+class TestTargets:
+    def test_all_is_every_target_in_table_order(self):
+        ctx = make_group_ring(JRootRing(2, 3), DerivedCyclicGroup(3, 3))
+        singles = [r for name in TARGETS for r in target_reports(ctx, name, 5)]
+        assert target_reports(ctx, "all", 5) == singles
+
+    def test_cli_targets_are_the_table(self):
+        assert VERIFY_AXIOMS == (*TARGETS, "all")
 
 
 class TestClosureNonderived:
@@ -188,21 +233,23 @@ class TestGroupRingChecks:
     def test_lifted_laws_hold(self, ctx1):
         sampler = element_sampler(ctx1, max_support=2)
         p = ctx1.profile
-        assert check_total_associativity(
-            ctx1.mul, p.gr_mul_arity, sampler=sampler, samples=100, seed=0,
-            structure=ctx1.name,
+        assert check_law(
+            associativity(ctx1.mul, p.gr_mul_arity), sampler=sampler,
+            samples=100, seed=0, structure=ctx1.name,
         ).holds
-        assert check_distributivity(
-            ctx1.add, ctx1.mul, p.gr_add_arity, p.gr_mul_arity,
+        assert check_law(
+            distributivity(ctx1.add, ctx1.mul, p.gr_add_arity, p.gr_mul_arity),
             sampler=sampler, samples=100, seed=0, structure=ctx1.name,
         ).holds
-        assert check_zero_law(
-            ctx1.add, ctx1.mul, ctx1.zero(), p.gr_add_arity, p.gr_mul_arity,
+        assert check_law(
+            zero_law(
+                ctx1.add, ctx1.mul, ctx1.zero(), p.gr_add_arity, p.gr_mul_arity
+            ),
             sampler=sampler, samples=100, seed=0, structure=ctx1.name,
         ).holds
-        assert check_commutativity(
-            ctx1.add, p.gr_add_arity, sampler=sampler, samples=100, seed=0,
-            structure=ctx1.name,
+        assert check_law(
+            commutativity(ctx1.add, p.gr_add_arity), sampler=sampler,
+            samples=100, seed=0, structure=ctx1.name,
         ).holds
 
     def test_multiplicative_associativity_over_finite_ring(self):
@@ -211,20 +258,26 @@ class TestGroupRingChecks:
         from pgr import AdiagGroup, make_group_ring
 
         ctx = make_group_ring(JRootRing(2, 3), AdiagGroup(3))
-        report = check_total_associativity(
-            ctx.mul, 3, sampler=element_sampler(ctx, max_support=2),
+        report = check_law(
+            associativity(ctx.mul, 3), sampler=element_sampler(ctx, max_support=2),
             samples=500, seed=12, structure=ctx.name,
         )
         assert report.holds
         assert report.cases == 500
 
     def test_augmentation_homomorphism(self, ctx1):
-        report = check_augmentation_homomorphism(ctx1, samples=100, seed=0)
+        report = check_law(
+            augmentation_homomorphism(ctx1), sampler=element_sampler(ctx1),
+            samples=100, seed=0, structure=ctx1.name,
+        )
         assert report.holds
 
     def test_corrupted_augmentation_fails(self, ctx1):
         wrapped = controls.CorruptedAugmentation(ctx1)
-        report = check_augmentation_homomorphism(wrapped, samples=100, seed=0)
+        report = check_law(
+            augmentation_homomorphism(wrapped), sampler=element_sampler(wrapped),
+            samples=100, seed=0, structure=wrapped.name,
+        )
         assert not report.holds
 
     def test_sampler_is_deterministic(self, ctx1):
@@ -237,7 +290,11 @@ class TestGroupRingChecks:
 
 class TestReportSerialization:
     def test_text_and_json(self, adiag3):
-        report = check_axiom(adiag3, "quer-law")
+        report = check_law(
+            quer_law(adiag3.mul, 3),
+            universe=[(g, adiag3.quer(g)) for g in adiag3.elements()],
+            structure=adiag3.name,
+        )
         text = report.to_text()
         assert "axiom=quer-law" in text and "status=holds" in text
         payload = json.loads(report.to_json())
@@ -245,9 +302,9 @@ class TestReportSerialization:
         assert payload["counterexample"] is None
 
     def test_failure_payload_carries_counterexample(self):
-        report = check_total_associativity(
-            controls.skew_ternary, 3, sampler=int_sampler, samples=50, seed=2,
-            structure="skew",
+        report = check_law(
+            associativity(controls.skew_ternary, 3), sampler=int_sampler,
+            samples=50, seed=2, structure="skew",
         )
         payload = json.loads(report.to_json())
         assert payload["status"] == "fails"
