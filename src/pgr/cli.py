@@ -1,15 +1,17 @@
 """Command-line interface and REPL.
 
 Exit codes: 0 success, 1 parse error, 2 arity/domain error, 3 a
-verification report came back failing.  A querelement search that finds
-nothing prints NotFound and exits 0 (that is a computed answer, not an
-error).
+verification report came back failing.  ``quer`` on an element with no
+querelement prints NotFound and exits 0: over the j-root rings the answer
+comes from an exact linear solve, so NotFound means proved absent, and it
+is a computed answer, not an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from itertools import product
@@ -131,7 +133,9 @@ def run_command(
 
 def _table(ctx: GroupRing, argument: str, as_json: bool) -> tuple[str, int]:
     group = ctx.group
-    names = argument.split()
+    text = argument.strip()
+    # whitespace inside a label such as g(0, 1) does not separate labels
+    names = re.split(r"\s+(?![^()]*\))", text) if text else []
     if names:
         gens = [parse_basis_label(ctx, n) for n in names]
     else:

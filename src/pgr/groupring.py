@@ -21,12 +21,11 @@ from .errors import (
     NoZero,
 )
 from .groups import NaryGroup
+from .linsolve import solve
 from .rings import PolyadicRing
 
 MUL_BUDGET = 10**7  # default cap on support-product combinations
 ENUMERATE_BUDGET = 10**6
-QUER_SEARCH_BUDGET = 200_000
-NEUTRALITY_PROBE_BOUND = 50  # coefficient probes for infinite rings
 
 
 class GroupRingElement:
@@ -246,11 +245,12 @@ class GroupRing:
         """Monomial identity candidates e_R * e_G built from a ring identity
         and a group identity, kept when genuinely neutral.
 
-        Neutrality is verified on monomial probes with the candidate block
-        leading or trailing; the convolution is coefficient-linear, so
-        monomial neutrality extends to every finite sum.  Probes cover the
-        whole ring when finite, otherwise a fixed coefficient window.
+        The convolution is linear in each operand over the ring's
+        coordinates, so neutrality checked on the unit basis monomials 1*g,
+        with the candidate block leading or trailing, holds on every
+        element: the answer is exact over Z as well as over Z_N.
         """
+        self._coordinate_modulus("trivial identities")
         ring_ids = self.ring.identity_search()
         if not ring_ids:
             return []
@@ -262,63 +262,76 @@ class GroupRing:
                     out.append(cand)
         return out
 
-    def _probe_coefficients(self) -> list:
-        if self.ring.is_finite:
-            return self.ring.elements()
-        return list(range(-NEUTRALITY_PROBE_BOUND, NEUTRALITY_PROBE_BOUND + 1))
+    def _coordinate_modulus(self, what: str) -> int:
+        modulus = self.ring.coordinate_modulus
+        if modulus is None:
+            raise DomainError(
+                f"{what} need a ring that is linear over Z or Z_N, and "
+                f"{self.ring.name} is not"
+            )
+        return modulus
 
     def _is_neutral(self, e: GroupRingElement) -> bool:
         pad = [e] * (self.profile.gr_mul_arity - 1)
         for g in self.group.elements():
-            for r in self._probe_coefficients():
-                x = self.element({g: r})
-                if self.mul([x, *pad]) != x or self.mul([*pad, x]) != x:
-                    return False
+            x = self.element({g: 1})
+            if self.mul([x, *pad]) != x or self.mul([*pad, x]) != x:
+                return False
         return True
 
-    def quer(
-        self, x: GroupRingElement, search_budget: int = QUER_SEARCH_BUDGET
-    ) -> GroupRingElement | None:
-        """Multiplicative querelement of x, or None.
+    def quer(self, x: GroupRingElement) -> GroupRingElement | None:
+        """Multiplicative querelement of x: an element x̄ with
+        mul(x, ..., x̄, ..., x) = x for x̄ in every slot, or None when x
+        has none.  None is a proof of absence.
 
-        Monomial fast path: for x = r*g with r in the unit set, the
-        candidate is r̄*ḡ, verified in all positions.  Otherwise a bounded
-        search runs over elements supported inside the group closure of
-        x's support with coefficients drawn from the unit set plus the
-        fast-path querelements of x's own coefficients.  None reports that
-        nothing was found within the bound, not a proof of absence.
+        The zero has none by convention (absorption makes the defining
+        relation vacuous).  For a monomial r*g whose coefficient has a ring
+        querelement r̄, the closed form r̄*ḡ is tried first.  Otherwise
+        x̄ solves one exact linear system: the product is linear in the
+        querelement slot over the ring's coordinates (Z, or Z_N mod N), so
+        there is one unknown coefficient per group element and one
+        equation per slot and group element (linsolve.solve).  Where the
+        system is underdetermined, free coordinates are set to zero
+        wherever that gives a solution, so the answer is deterministic.
         """
+        modulus = self._coordinate_modulus("querelements")
+        n = self.profile.gr_mul_arity
+        if n < 3:
+            raise DomainError(
+                "querelements are defined for multiplication arity >= 3"
+            )
         if x.is_zero():
             return None  # absorption makes the defining relation vacuous
-        candidates_tried = 0
-        if len(x.terms) == 1:
+        if len(x.terms) == 1 and self.ring.n_r >= 3:
             ((g, c),) = x.terms
             cq = self.ring.quer(c)
             if cq is not None:
                 cand = self.element({self.group.quer(g): cq})
                 if self._is_quer(cand, x):
                     return cand
-        coeff_pool = set(self.ring.units())
-        for c in x.coefficients():
-            cq = self.ring.quer(c)
-            if cq is not None:
-                coeff_pool.add(cq)
-        closure = self._support_closure(x.support())
-        options: list[list] = [
-            [None, *sorted(coeff_pool)] for _ in closure
-        ]
-        for assignment in product(*options):
-            if all(c is None for c in assignment):
-                continue
-            candidates_tried += 1
-            if candidates_tried > search_budget:
-                return None
-            cand = self._canonical(
-                [(g, c) for g, c in zip(closure, assignment) if c is not None]
+        keys = self.group.elements()
+        row_of = {g: i for i, g in enumerate(keys)}
+        size = len(keys)
+        rest = [x] * (n - 1)
+        # column j holds the product with 1*keys[j] in the querelement slot
+        a = [[0] * size for _ in range(n * size)]
+        for j, h in enumerate(keys):
+            unit = self.element({h: 1})
+            for p in range(n):
+                for g, c in self.mul([*rest[:p], unit, *rest[p:]]).terms:
+                    a[p * size + row_of[g]][j] = c
+        coords = x.as_dict()
+        b = [coords.get(g, 0) for g in keys] * n
+        y = solve(a, b, modulus)
+        if y is None:
+            return None
+        cand = self.element(zip(keys, y))
+        if not self._is_quer(cand, x):
+            raise ArithmeticError(
+                f"the linear solve gave {self.render(cand)}, which is not a "
+                f"querelement of {self.render(x)}"
             )
-            if self._is_quer(cand, x):
-                return cand
-        return None
+        return cand
 
     def _is_quer(self, cand: GroupRingElement, x: GroupRingElement) -> bool:
         n = self.profile.gr_mul_arity
@@ -326,20 +339,6 @@ class GroupRing:
         return all(
             self.mul([*rest[:p], cand, *rest[p:]]) == x for p in range(n)
         )
-
-    def _support_closure(self, keys: Sequence) -> list:
-        """Smallest superset of the keys closed under the group product."""
-        current = set(keys)
-        bound = self.group.size()
-        while len(current) < bound:
-            ordered = sorted(current, key=self.group.sort_key)
-            grown = set(current)
-            for word in product(ordered, repeat=self.group.arity):
-                grown.add(self.group.mul(word))
-            if grown == current:
-                break
-            current = grown
-        return sorted(current, key=self.group.sort_key)
 
     # augmentation -------------------------------------------------------------
 

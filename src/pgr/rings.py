@@ -40,6 +40,10 @@ class PolyadicRing:
     symbol: str
     has_zero: bool
     is_finite: bool
+    # The ring's linearity, for generic linear algebra over its scalars:
+    # 0 when the scalars are integer coordinates with every operation
+    # Z-multilinear, N when that holds modulo N, None when it does not.
+    coordinate_modulus: int | None = None
 
     def add(self, coeffs: Sequence):
         raise NotImplementedError
@@ -104,6 +108,7 @@ class JRootRing(PolyadicRing):
         self.name = base if modulus is None else f"{base} mod {modulus}"
         self.has_zero = True
         self.is_finite = modulus is not None
+        self.coordinate_modulus = 0 if modulus is None else modulus
 
     def normalize(self, r: int) -> int:
         if not isinstance(r, int) or isinstance(r, bool):

@@ -100,6 +100,9 @@ class TestCommands:
         pair = run(capsys, ["table", "g(1,1)", "g(0,0)"])
         assert pair[0] == 0
         assert pair == run(capsys, ["table", "g5", "g1"])
+        # spaces inside a label, quoted as one argument or split by a shell
+        assert pair == run(capsys, ["table", "g(1, 1) g(0, 0)"])
+        assert pair == run(capsys, ["table", "g(1,", "1)", "g( 0 ,0 )"])
 
     def test_table_full_for_small_group(self, capsys):
         status, out, _ = run(

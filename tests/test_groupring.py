@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,8 @@ from pgr import (
     make_group_ring,
     validate_profile,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestNormalization:
@@ -277,6 +283,106 @@ class TestQuerelement:
 
     def test_zero_has_no_quer(self, ctx1):
         assert ctx1.quer(ctx1.zero()) is None
+
+    @pytest.mark.parametrize(
+        "ring, group, ell",
+        [
+            (JRootRing(2, 4), DerivedCyclicGroup(2, 3), 1),
+            (JRootRing(2, 6), DerivedCyclicGroup(2, 3), 1),
+            (JRootRing(3, 4), DerivedCyclicGroup(2, 4), 1),
+            (JRootRing(2, 2), AdiagGroup(2), 2),
+            (JRootRing(2, 3), DerivedCyclicGroup(3, 3), 1),
+        ],
+        ids=["mod4", "mod6", "q3-mod4", "ell2-adiag2", "mod3-derived3"],
+    )
+    def test_none_exactly_when_exhaustive_search_finds_none(
+        self, ring, group, ell
+    ):
+        ctx = make_group_ring(ring, group, ell_n=ell, ell_g=ell)
+        elems = ctx.elements()
+        for x in elems[1:]:  # elems[0] is the zero
+            got = ctx.quer(x)
+            if got is None:
+                assert not any(ctx._is_quer(c, x) for c in elems), x
+            else:
+                assert ctx._is_quer(got, x)
+
+    def test_rational_answers_agree_with_sympy(self, ctx1):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4)
+        keys = ctx1.group.elements()
+        seen = set()
+        for _ in range(40):
+            size = rng.randint(1, 3)
+            x = ctx1.element(
+                {g: rng.choice((-2, -1, 1, 2)) for g in rng.sample(keys, size)}
+            )
+            columns = []
+            for h in keys:
+                unit = ctx1.element({h: 1})
+                column = []
+                for p in range(3):
+                    word = [x, x]
+                    word.insert(p, unit)
+                    got = ctx1.mul(word).as_dict()
+                    column += [got.get(g, 0) for g in keys]
+                columns.append(column)
+            a = sympy.Matrix(columns).T
+            b = sympy.Matrix([x.as_dict().get(g, 0) for g in keys] * 3)
+            q = ctx1.quer(x)
+            try:
+                solution, params = a.gauss_jordan_solve(b)
+            except ValueError:  # inconsistent over Q
+                seen.add("inconsistent")
+                assert q is None
+                continue
+            if params.shape[0]:
+                seen.add("underdetermined")
+                continue
+            integral = all(v.is_integer for v in solution)
+            seen.add("integral" if integral else "fractional")
+            if integral:
+                assert q == ctx1.element(zip(keys, map(int, solution)))
+            else:
+                assert q is None
+        assert {"inconsistent", "integral", "fractional"} <= seen
+
+    def test_answer_does_not_depend_on_hash_seed(self):
+        script = (
+            "from pgr import JRootRing, AdiagGroup, make_group_ring\n"
+            "for mod in (None, 5):\n"
+            "    ctx = make_group_ring(JRootRing(2, mod), AdiagGroup(2))\n"
+            "    for c in range(1, 5):\n"
+            "        x = ctx.element({(0, 0): c, (1, 0): 2, (0, 1): 1})\n"
+            "        print(ctx.quer(x))\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": SRC},
+            ).stdout
+            for seed in ("0", "1", "4242")
+        }
+        assert len(outputs) == 1
+        assert "GroupRingElement" in outputs.pop()
+
+    def test_dense_elements_stay_fast_and_correct(self):
+        rng = random.Random(6)
+        for ring, size in ((JRootRing(2), 36), (JRootRing(2, 12), 5)):
+            ctx = make_group_ring(ring, AdiagGroup(6))
+            keys = rng.sample(ctx.group.elements(), size)
+            x = ctx.element({g: rng.choice((-3, -2, -1, 1, 2, 3)) for g in keys})
+            q = ctx.quer(x)
+            assert q is None or ctx._is_quer(q, x)
+
+    def test_non_linear_ring_is_a_domain_error(self, adiag3):
+        ctx = make_group_ring(adjoin_zero(OddJRootSemigroup(2)), adiag3)
+        with pytest.raises(DomainError, match="odd jZ"):
+            ctx.quer(ctx.element({(1, 1): 1}))
+        with pytest.raises(DomainError, match="odd jZ"):
+            ctx.trivial_identities()
 
 
 class TestAugmentation:
