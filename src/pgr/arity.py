@@ -4,7 +4,9 @@ An n-ary operation can only be composed on words whose length is
 ell*(n-1)+1 for some number of applications ell >= 1 (the admissible
 lengths).  This module computes those lengths, inverts them, validates
 full arity profiles for the group-ring construction, and provides the
-generic left-nested iteration of an n-ary operation.
+generic left-nested iteration of an n-ary operation, either checked per
+call (iterate_op) or validated once and returned as a word function
+(word_function) for callers that compose many words of one length.
 """
 
 from __future__ import annotations
@@ -106,29 +108,51 @@ def validate_profile(
     )
 
 
-def iterate_op(
-    op: Callable[[Sequence[T]], T], n: int, ell: int, word: Sequence[T]
-) -> T:
-    """Left-nested composition of ell applications of an n-ary operation.
+def left_fold(op: Callable[[Sequence[T]], T], n: int) -> Callable[[Sequence[T]], T]:
+    """The left-nested fold of an n-ary operation over any admissible word.
 
     The first application consumes the leading n letters, every further
     application consumes the accumulator plus the next n-1 letters.  The
     bracketing is fixed so results are deterministic even for
     non-associative operations; bracketing-independence for associative
-    ones is certified separately by the verify module.
+    ones is certified separately by the verify module.  Nothing is
+    validated: callers pass a checked arity and admissible words.
     """
-    expected = admissible_length(n, ell)
+    step = n - 1
+
+    def fold(word: Sequence[T]) -> T:
+        acc = op(tuple(word[:n]))
+        for pos in range(n, len(word), step):
+            acc = op((acc, *word[pos : pos + step]))
+        return acc
+
+    return fold
+
+
+def word_function(
+    op: Callable[[Sequence[T]], T], n: int, ell: int
+) -> Callable[[Sequence[T]], T]:
+    """Validate (n, ell) once and return the function that composes a word
+    of ell*(n-1)+1 letters by ell left-nested applications of op: op itself
+    when ell == 1, else its left fold.  The word length is not checked
+    again on each call."""
+    admissible_length(n, ell)
+    return op if ell == 1 else left_fold(op, n)
+
+
+def iterate_op(
+    op: Callable[[Sequence[T]], T], n: int, ell: int, word: Sequence[T]
+) -> T:
+    """Left-nested composition of ell applications of an n-ary operation
+    (word_function) on a word whose length is checked first."""
+    compose = word_function(op, n, ell)
+    expected = ell * (n - 1) + 1
     if len(word) != expected:
         raise InadmissibleLength(
             f"word of length {len(word)} is not composable as {ell} "
             f"application(s) of a {n}-ary operation (needs {expected})"
         )
-    acc = op(tuple(word[:n]))
-    pos = n
-    for _ in range(ell - 1):
-        acc = op((acc, *word[pos : pos + n - 1]))
-        pos += n - 1
-    return acc
+    return compose(tuple(word))
 
 
 def polyadic_power(op: Callable[[Sequence[T]], T], n: int, x: T, ell: int) -> T:

@@ -236,17 +236,35 @@ def _require(mapping: dict, key: str, types, where: str):
     return value
 
 
-def build_context(config: dict) -> GroupRing:
-    """Instantiate a context from a (merged) configuration mapping."""
-    if not isinstance(config, dict):
-        raise ConfigError("configuration must be a JSON object")
-    unknown = set(config) - {"ring", "group", "powers"}
-    if unknown:
-        raise ConfigError(f"unknown configuration section(s): {sorted(unknown)}")
+def _layered(*layers) -> dict:
+    """Merge configuration layers, later over earlier, after checking each:
+    a layer is an object whose keys are known sections and whose sections
+    are objects.  A group section that names its kind replaces the group
+    before it; any other section updates the one before it key by key."""
+    merged: dict = {}
+    for layer in layers:
+        if not isinstance(layer, dict):
+            raise ConfigError("configuration must be a JSON object")
+        unknown = layer.keys() - DEFAULT_CONFIG.keys()
+        if unknown:
+            raise ConfigError(
+                f"unknown configuration section(s): {sorted(unknown)}"
+            )
+        for section, values in layer.items():
+            if not isinstance(values, dict):
+                raise ConfigError(f"'{section}' must be an object")
+            if section == "group" and "kind" in values:
+                merged[section] = dict(values)
+            else:
+                merged[section] = {**merged.get(section, {}), **values}
+    return merged
 
+
+def build_context(config: dict) -> GroupRing:
+    """Instantiate a context from a configuration mapping; a missing
+    section takes its default whole."""
+    config = _layered(config)
     ring_cfg = config.get("ring", DEFAULT_CONFIG["ring"])
-    if not isinstance(ring_cfg, dict):
-        raise ConfigError("'ring' must be an object")
     kind = _require(ring_cfg, "kind", str, "ring")
     if kind != "jroot":
         raise ConfigError(f"unknown ring kind {kind!r}")
@@ -260,8 +278,6 @@ def build_context(config: dict) -> GroupRing:
         raise ConfigError(str(exc)) from exc
 
     group_cfg = config.get("group", DEFAULT_CONFIG["group"])
-    if not isinstance(group_cfg, dict):
-        raise ConfigError("'group' must be an object")
     gkind = _require(group_cfg, "kind", str, "group")
     try:
         if gkind == "adiag_cyclic":
@@ -282,8 +298,6 @@ def build_context(config: dict) -> GroupRing:
         raise ConfigError(str(exc)) from exc
 
     powers = config.get("powers", {})
-    if not isinstance(powers, dict):
-        raise ConfigError("'powers' must be an object")
     ells = {}
     for name in ("ell_m", "ell_n", "ell_g"):
         value = powers.get(name, 1)
@@ -306,30 +320,5 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Group
             raise ConfigError(f"cannot read configuration {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"configuration {path!r} is not valid JSON: {exc}") from exc
-    merged = {
-        "ring": dict(DEFAULT_CONFIG["ring"]),
-        "group": dict(DEFAULT_CONFIG["group"]),
-        "powers": dict(DEFAULT_CONFIG["powers"]),
-    }
-    if config:
-        if not isinstance(config, dict):
-            raise ConfigError("configuration must be a JSON object")
-        for section in ("ring", "group", "powers"):
-            if section in config:
-                if not isinstance(config[section], dict):
-                    raise ConfigError(f"'{section}' must be an object")
-                if section == "group" and "kind" in config[section]:
-                    merged[section] = dict(config[section])
-                else:
-                    merged[section].update(config[section])
-        unknown = set(config) - {"ring", "group", "powers"}
-        if unknown:
-            raise ConfigError(
-                f"unknown configuration section(s): {sorted(unknown)}"
-            )
-    for section, values in (overrides or {}).items():
-        if section == "group" and "kind" in values:
-            merged[section] = dict(values)
-        else:
-            merged[section].update(values)
-    return build_context(merged)
+    layers = (DEFAULT_CONFIG, config, {} if overrides is None else overrides)
+    return build_context(_layered(*layers))

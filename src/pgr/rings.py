@@ -41,8 +41,13 @@ class PolyadicRing:
     has_zero: bool
     is_finite: bool
     # The ring's linearity, for generic linear algebra over its scalars:
-    # 0 when the scalars are integer coordinates with every operation
-    # Z-multilinear, N when that holds modulo N, None when it does not.
+    # 0 when the scalars are integer coordinates over Z, N when they are
+    # residues mod N, None when neither holds.  A value other than None is
+    # a contract that GroupRing.mul and GroupRing.quer rely on: addition
+    # (at any arity) is coordinate addition mod N, so the zero is the
+    # coordinate 0 and normalize(c1 + ... + ct) is the sum of t scalars;
+    # multiplication is additive in each slot, mul(.., a + b, ..) =
+    # mul(.., a, ..) + mul(.., b, ..) mod N, so it is Z-multilinear.
     coordinate_modulus: int | None = None
 
     def add(self, coeffs: Sequence):

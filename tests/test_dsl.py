@@ -238,6 +238,36 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
 
+    @pytest.mark.parametrize("text", ["[]", "null", "0", '""', "false", "[1]"])
+    def test_file_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(str(path))
+
+    def test_empty_object_file_is_the_default(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        assert load_config(str(path)).name == "jZ[adiag(C3)]"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"rings": {"q": 3}}, {"ring": 5}, {"powers": None}, ["ring"]],
+    )
+    def test_bad_overrides(self, overrides):
+        with pytest.raises(ConfigError):
+            load_config(None, overrides)
+
+    def test_overrides_merge_over_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"group": {"kind": "derived", "base": "cyclic:3", "arity": 3}}
+        ))
+        ctx = load_config(str(path), {"group": {"base": "cyclic:4"}})
+        assert ctx.name == "jZ[derived[3](C4)]"
+        ctx = load_config(str(path), {"group": {"kind": "adiag_cyclic", "k": 2}})
+        assert ctx.name == "jZ[adiag(C2)]"
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

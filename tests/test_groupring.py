@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matrix_oracle as oracle
 from pgr import (
     AdiagGroup,
+    AdjoinedZeroRing,
     ArityMismatch,
     BudgetExceeded,
     DerivedCyclicGroup,
@@ -18,6 +21,7 @@ from pgr import (
     GroupRing,
     InfiniteUniverse,
     JRootRing,
+    NotClosed,
     OddJRootSemigroup,
     PolyadicRing,
     QuantizationMismatch,
@@ -513,3 +517,104 @@ class TestZeroPadding:
         z = ctx3.element({0: 1})
         # the (0,0,0) and (1,2,0) combinations both land on key 0
         assert ctx3.mul([x, y, z]) == ctx3.element({0: 2, 1: 1, 2: 1})
+
+
+def _equivalence_contexts() -> list:
+    """Linear contexts over moduli 4, 6, 101 and Z with q = 1, 2, 3 and
+    ell = 1, 2, 3 (staged when n_r == n_g), two n_r != n_g profiles, and
+    the non-linear rings that gather with _accumulate."""
+    return [
+        make_group_ring(JRootRing(2, 4), AdiagGroup(2)),
+        make_group_ring(JRootRing(2, 6), DerivedCyclicGroup(3, 3)),
+        make_group_ring(JRootRing(2, 101), AdiagGroup(3)),
+        make_group_ring(JRootRing(1), DerivedCyclicGroup(3, 2)),
+        make_group_ring(JRootRing(1, 6), DerivedCyclicGroup(2, 2), ell_n=3, ell_g=3),
+        make_group_ring(JRootRing(3), DerivedCyclicGroup(4, 4)),
+        make_group_ring(JRootRing(3, 4), DerivedCyclicGroup(2, 4), ell_n=2, ell_g=2),
+        make_group_ring(JRootRing(2), AdiagGroup(3), ell_n=2, ell_g=2),
+        make_group_ring(JRootRing(2, 6), AdiagGroup(2), ell_n=3, ell_g=3),
+        make_group_ring(JRootRing(4), AdiagGroup(3), ell_g=2),
+        make_group_ring(JRootRing(2), DerivedCyclicGroup(3, 5), ell_n=2),
+        make_group_ring(JRootRing(1, 4), DerivedCyclicGroup(2, 3), ell_n=2),
+        make_group_ring(adjoin_zero(OddJRootSemigroup(2)), AdiagGroup(2)),
+        make_group_ring(_TernaryAdditionRing(), DerivedCyclicGroup(3, 3)),
+    ]
+
+
+EQUIVALENCE_CONTEXTS = _equivalence_contexts()
+
+
+def _outcome(compute):
+    try:
+        return ("value", compute())
+    except (BudgetExceeded, NotClosed) as exc:
+        return ("raises", type(exc))
+
+
+@st.composite
+def _product_case(draw):
+    ctx = draw(st.sampled_from(EQUIVALENCE_CONTEXTS))
+    keys = ctx.group.elements()
+    arity = ctx.profile.gr_mul_arity
+    # the odd semigroup's carrier holds odd coefficients only
+    odd = isinstance(ctx.ring, AdjoinedZeroRing)
+    coeffs = st.sampled_from([1, 3, 5, -7]) if odd else st.integers(-9, 9)
+    term = st.tuples(st.sampled_from(keys), coeffs)
+    # zero-term pools give zero operands; drawing operands from a small pool
+    # repeats them
+    size = 3 if arity <= 5 else 2
+    element = st.lists(term, max_size=size, unique_by=lambda t: t[0])
+    pool = draw(st.lists(element, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=arity, max_size=arity))
+    return ctx, [ctx.element(pool[i]) for i in picks]
+
+
+class TestMulEqualsGatheredTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(_product_case())
+    def test_mul_equals_gathered_mul_terms(self, case):
+        ctx, ops = case
+        expected = _outcome(
+            lambda: ctx.element([(g, c) for c, g in ctx.mul_terms(ops)])
+        )
+        assert _outcome(lambda: ctx.mul(ops)) == expected
+        combos = 1
+        for x in ops:
+            combos *= len(x.terms)
+        if combos:
+            tight = GroupRing(ctx.ring, ctx.group, ctx.profile, mul_budget=combos - 1)
+            with pytest.raises(BudgetExceeded):
+                tight.mul(ops)
+            with pytest.raises(BudgetExceeded):
+                tight.mul_terms(ops)
+
+    def test_power_runs_as_stages(self):
+        # the ell = 2 product over adiag(C3) on dense operands: 9**5
+        # combinations expanded, 2 * 9**3 ring products staged
+        ring = JRootRing(2)
+        calls = []
+        plain = ring.mul
+        ring.mul = lambda word: calls.append(word) or plain(word)
+        ctx = make_group_ring(ring, AdiagGroup(3), ell_n=2, ell_g=2)
+        rng = random.Random(7)
+        ops = [
+            ctx.element({g: rng.randint(1, 9) for g in ctx.group.elements()})
+            for _ in range(5)
+        ]
+        gathered = ctx.element([(g, c) for c, g in ctx.mul_terms(ops)])
+        assert len(calls) == 2 * 9**5
+        calls.clear()
+        assert ctx.mul(ops) == gathered
+        assert len(calls) == 2 * 9**3
+
+    def test_adjoined_zero_absorbs_and_sums_leave_the_carrier(self):
+        ctx = make_group_ring(adjoin_zero(OddJRootSemigroup(2)), AdiagGroup(3))
+        x = ctx.element({(1, 1): 3})
+        y = ctx.element({(0, 0): 1, (1, 0): 5})
+        assert ctx.mul([x, ctx.zero(), x]) == ctx.zero()
+        assert ctx.mul([x, x, x]).terms == (((0, 0), -27),)
+        # (0,0) and (1,0) as the middle factor land on distinct keys; two
+        # contributions on one key need an odd + odd sum
+        assert len(ctx.mul([x, y, x]).terms) == 2
+        with pytest.raises(NotClosed):
+            ctx.mul([y, y, y])
