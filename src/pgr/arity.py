@@ -25,8 +25,13 @@ T = TypeVar("T")
 U64_MAX = 2**64 - 1
 
 
+def is_integer(value) -> bool:
+    """An int that is not a bool (True and False are ints to Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_range(value: int, low: int, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")

@@ -18,7 +18,7 @@ from itertools import product
 
 from . import verify
 from .dsl import load_config, parse_basis_label, parse_to_element
-from .errors import ArityMismatch, DomainError, ParseError, PgrError
+from .errors import DomainError, ParseError, PgrError
 from .groupring import GroupRing
 
 VERBS = (
@@ -264,9 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (ArityMismatch, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PgrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

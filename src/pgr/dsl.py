@@ -10,6 +10,12 @@ The ring symbol is fixed by the active context: "" for the plain integer
 ring (q = 1), "j" for q = 2, "j<q>" otherwise.  The legacy index form
 g<i> maps through i = k*n + m + 1 for the antidiagonal family, so the
 published worked elements can be typed verbatim.
+
+parse_to_element reads each term straight into a (group key,
+coefficient) pair and hands the pairs to GroupRing.element, which
+normalizes coefficients and gathers repeated keys; the lone literal 0 is
+the context's zero.  No syntax tree sits between the text and the
+element.
 """
 
 from __future__ import annotations
@@ -50,20 +56,6 @@ def _tokenize(text: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("eof", "", len(text)))
     return tokens
-
-
-@dataclass(frozen=True)
-class ElementTerm:
-    sign: int
-    magnitude: int
-    symbol: str
-    key: object  # resolved group key
-
-
-@dataclass(frozen=True)
-class ElementExpr:
-    terms: tuple[ElementTerm, ...]
-    is_zero_literal: bool = False
 
 
 class _Parser:
@@ -139,20 +131,9 @@ class _Parser:
             f"malformed basis {tok.text!r}", tok.offset, ("g(<m>,<n>)", "g<index>")
         )
 
-    def parse_term(self) -> ElementTerm:
-        tok = self.peek()
-        sign = 1
-        if tok.kind == "punct" and tok.text in "+-":
-            self.take()
-            sign = -1 if tok.text == "-" else 1
-        tok = self.take()
-        if tok.kind != "int":
-            raise ParseError(
-                f"expected a coefficient, found {tok.text or 'end of input'!r}",
-                tok.offset,
-                ("integer",),
-            )
-        magnitude = int(tok.text)
+    def parse_term(self) -> tuple:
+        """One term as a (group key, coefficient) pair."""
+        coefficient = self.parse_int("a coefficient")
         symbol = self.ctx.ring.symbol
         if symbol:
             sym = self.take()
@@ -164,48 +145,35 @@ class _Parser:
                     (symbol,),
                 )
         self.expect_punct("*")
-        key = self.parse_basis()
-        return ElementTerm(sign, magnitude, symbol, key)
+        return self.parse_basis(), coefficient
 
-    def parse_element(self) -> ElementExpr:
+    def parse_element(self) -> GroupRingElement:
         first = self.peek()
         if (
             first.kind == "int"
             and first.text == "0"
             and self.tokens[self.pos + 1].kind == "eof"
         ):
-            self.take()
-            return ElementExpr((), is_zero_literal=True)
-        terms = [self.parse_term()]
+            return self.ctx.zero()
+        pairs = [self.parse_term()]
         while True:
             tok = self.peek()
             if tok.kind == "eof":
                 break
             if tok.kind == "punct" and tok.text == "+":
                 self.take()
-                terms.append(self.parse_term())
+                pairs.append(self.parse_term())
                 continue
             raise ParseError(
                 f"unexpected {tok.text!r}", tok.offset, ("+", "end of input")
             )
-        return ElementExpr(tuple(terms))
-
-
-def parse_element(ctx: GroupRing, text: str) -> ElementExpr:
-    """Parse an element expression against the active context's grammar."""
-    return _Parser(ctx, text).parse_element()
-
-
-def element_from_expr(ctx: GroupRing, expr: ElementExpr) -> GroupRingElement:
-    if expr.is_zero_literal:
-        return ctx.zero()
-    return ctx.element(
-        [(t.key, t.sign * t.magnitude) for t in expr.terms]
-    )
+        return self.ctx.element(pairs)
 
 
 def parse_to_element(ctx: GroupRing, text: str) -> GroupRingElement:
-    return element_from_expr(ctx, parse_element(ctx, text))
+    """Parse an element expression against the active context's grammar
+    and build the element."""
+    return _Parser(ctx, text).parse_element()
 
 
 def parse_basis_label(ctx: GroupRing, text: str):

@@ -29,13 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import product
 
-from .arity import (
-    ArityProfile,
-    iterate_op,
-    left_fold,
-    validate_profile,
-    word_function,
-)
+from .arity import iterate_op, left_fold, validate_profile, word_function
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -91,35 +85,24 @@ class GroupRingElement:
 
 
 class GroupRing:
-    """Context tying together a ring, a group and a validated arity profile."""
+    """Context tying together a ring, a group and the polyadic powers
+    ell_m, ell_n, ell_g.  The constructor derives the arity profile from
+    the ring's and group's arities (validate_profile, which raises
+    QuantizationMismatch for incompatible combinations); it is the one
+    place a profile is checked."""
 
     def __init__(
         self,
         ring: PolyadicRing,
         group: NaryGroup,
-        profile: ArityProfile,
+        ell_m: int = 1,
+        ell_n: int = 1,
+        ell_g: int = 1,
         mul_budget: int = MUL_BUDGET,
     ):
-        rebuilt = validate_profile(
-            profile.m_r, profile.n_r, profile.n_g,
-            profile.ell_m, profile.ell_n, profile.ell_g,
+        profile = validate_profile(
+            ring.m_r, ring.n_r, group.arity, ell_m, ell_n, ell_g
         )
-        if rebuilt != profile:
-            raise DomainError(
-                f"profile carries derived arities ({profile.gr_add_arity},"
-                f"{profile.gr_mul_arity}), expected ({rebuilt.gr_add_arity},"
-                f"{rebuilt.gr_mul_arity})"
-            )
-        if profile.m_r != ring.m_r or profile.n_r != ring.n_r:
-            raise DomainError(
-                f"profile carries ring arities ({profile.m_r},{profile.n_r}) "
-                f"but {ring.name} has ({ring.m_r},{ring.n_r})"
-            )
-        if profile.n_g != group.arity:
-            raise DomainError(
-                f"profile carries group arity {profile.n_g} but {group.name} "
-                f"has {group.arity}"
-            )
         self.ring = ring
         self.group = group
         self.profile = profile
@@ -150,12 +133,17 @@ class GroupRing:
                 raise DomainError(
                     f"{g!r} is not an element of {self.group.name}"
                 )
-            c = self.ring.normalize(c)
-            if not self.ring.contains(c):
-                raise DomainError(f"{c!r} is not an element of {self.ring.name}")
-            buckets.setdefault(g, []).append(c)
+            buckets.setdefault(g, []).append(self._scalar(c))
         pairs = [(g, self._accumulate(cs)) for g, cs in buckets.items()]
         return self._canonical(pairs)
+
+    def _scalar(self, c):
+        """A coefficient or scalar normalized into the ring's carrier;
+        DomainError when it falls outside."""
+        c = self.ring.normalize(c)
+        if not self.ring.contains(c):
+            raise DomainError(f"{c!r} is not an element of {self.ring.name}")
+        return c
 
     def monomial(self, coeff, g) -> GroupRingElement:
         return self.element({g: coeff})
@@ -208,6 +196,22 @@ class GroupRing:
             if not isinstance(x, GroupRingElement):
                 raise DomainError(f"operand {x!r} is not a group-ring element")
 
+    def _combinations(self, operands: Sequence) -> int:
+        """Check a product's operands and return the number of support
+        combinations its expansion walks; BudgetExceeded over mul_budget."""
+        self._check_operands(
+            operands, self.profile.gr_mul_arity, "multiplication"
+        )
+        combos = 1
+        for x in operands:
+            combos *= len(x.terms)
+        if combos > self.mul_budget:
+            raise BudgetExceeded(
+                f"product expansion needs {combos} combinations, over the "
+                f"budget of {self.mul_budget}"
+            )
+        return combos
+
     def add(self, operands: Sequence[GroupRingElement]) -> GroupRingElement:
         """Coefficient-wise iterated ring addition of gr_add_arity operands."""
         self._check_operands(operands, self.profile.gr_add_arity, "addition")
@@ -236,15 +240,7 @@ class GroupRing:
         per combination of operand terms, in operand-term order, before any
         gathering of equal keys."""
         p = self.profile
-        self._check_operands(operands, p.gr_mul_arity, "multiplication")
-        combos = 1
-        for x in operands:
-            combos *= len(x.terms)
-        if combos > self.mul_budget:
-            raise BudgetExceeded(
-                f"product expansion needs {combos} combinations, over the "
-                f"budget of {self.mul_budget}"
-            )
+        self._combinations(operands)
         out = []
         for combo in product(*(x.terms for x in operands)):
             keys = tuple(g for g, _ in combo)
@@ -265,16 +261,7 @@ class GroupRing:
         each key's contributions in expansion order with _accumulate.
         BudgetExceeded is raised for the same operands as mul_terms.
         """
-        p = self.profile
-        self._check_operands(operands, p.gr_mul_arity, "multiplication")
-        combos = 1
-        for x in operands:
-            combos *= len(x.terms)
-        if combos > self.mul_budget:
-            raise BudgetExceeded(
-                f"product expansion needs {combos} combinations, over the "
-                f"budget of {self.mul_budget}"
-            )
+        combos = self._combinations(operands)
         if not combos:
             return GroupRingElement(())  # a zero operand empties the product
         # each operand transposed once into (keys, coefficients)
@@ -319,7 +306,7 @@ class GroupRing:
             raise ArityMismatch(
                 f"action takes {n - 1} scalar(s), got {len(scalars)}"
             )
-        lams = tuple(self.ring.normalize(s) for s in scalars)
+        lams = tuple(self._scalar(s) for s in scalars)
         return self._canonical(
             [(g, self.ring.mul((*lams, c))) for g, c in x.terms]
         )
@@ -468,17 +455,5 @@ class GroupRing:
         )
 
 
-def make_group_ring(
-    ring: PolyadicRing,
-    group: NaryGroup,
-    ell_m: int = 1,
-    ell_n: int = 1,
-    ell_g: int = 1,
-    mul_budget: int = MUL_BUDGET,
-) -> GroupRing:
-    """Assemble a context from a ring and a group, validating the arity
-    profile (raises QuantizationMismatch for incompatible combinations)."""
-    profile = validate_profile(
-        ring.m_r, ring.n_r, group.arity, ell_m, ell_n, ell_g
-    )
-    return GroupRing(ring, group, profile, mul_budget=mul_budget)
+# the public builder name; the constructor validates the profile
+make_group_ring = GroupRing

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import product
 
-from .arity import polyadic_power
+from .arity import is_integer, polyadic_power
 from .errors import ArityMismatch, DomainError
 
 
@@ -135,7 +135,7 @@ class AdiagGroup(NaryGroup):
     arity = 3
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or k < 2:
+        if not is_integer(k) or k < 2:
             raise DomainError(f"cyclic order must be an integer >= 2, got {k!r}")
         self.k = k
         self.name = f"adiag(C{k})"
@@ -207,9 +207,9 @@ class DerivedCyclicGroup(NaryGroup):
     binary operation: mul(x_1, ..., x_n) = x_1 + ... + x_n (mod k)."""
 
     def __init__(self, k: int, arity: int):
-        if not isinstance(k, int) or k < 1:
+        if not is_integer(k) or k < 1:
             raise DomainError(f"cyclic order must be an integer >= 1, got {k!r}")
-        if not isinstance(arity, int) or arity < 2:
+        if not is_integer(arity) or arity < 2:
             raise DomainError(f"group arity must be an integer >= 2, got {arity!r}")
         self.k = k
         self.arity = arity

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from .arity import polyadic_power
+from .arity import is_integer, polyadic_power
 from .errors import (
     ArityMismatch,
     DomainError,
@@ -101,9 +101,9 @@ class JRootRing(PolyadicRing):
     m_r = 2
 
     def __init__(self, q: int, modulus: int | None = None):
-        if not isinstance(q, int) or q < 1:
+        if not is_integer(q) or q < 1:
             raise DomainError(f"root order must be an integer >= 1, got {q!r}")
-        if modulus is not None and (not isinstance(modulus, int) or modulus < 2):
+        if modulus is not None and (not is_integer(modulus) or modulus < 2):
             raise DomainError(f"modulus must be an integer >= 2, got {modulus!r}")
         self.q = q
         self.modulus = modulus
@@ -242,7 +242,7 @@ class OddJRootSemigroup(PolyadicRing):
     m_r = 2
 
     def __init__(self, q: int = 2):
-        if not isinstance(q, int) or q < 2:
+        if not is_integer(q) or q < 2:
             raise DomainError(f"root order must be an integer >= 2, got {q!r}")
         self.q = q
         self.n_r = q + 1

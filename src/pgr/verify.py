@@ -251,6 +251,10 @@ def check_law(
     otherwise samples it with an explicit note; mode="exhaustive" refuses
     an oversized or missing universe instead.  Sampled words are drawn
     operand by operand from Random(seed)."""
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise DomainError(
+            f"unknown mode {mode!r}: use auto, exhaustive or sampled"
+        )
     note = None
     if universe is not None:
         universe = list(universe)

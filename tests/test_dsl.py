@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -21,7 +24,6 @@ from pgr.dsl import (
     build_context,
     load_config,
     parse_basis_label,
-    parse_element,
     parse_to_element,
 )
 
@@ -66,36 +68,36 @@ class TestParsing:
 class TestParseErrors:
     def test_wrong_symbol(self, ctx1):
         with pytest.raises(ParseError) as err:
-            parse_element(ctx1, "5x*g5")
+            parse_to_element(ctx1, "5x*g5")
         assert err.value.offset == 1
         assert "j" in err.value.expected
 
     def test_missing_star(self, ctx1):
         with pytest.raises(ParseError):
-            parse_element(ctx1, "5j g5")
+            parse_to_element(ctx1, "5j g5")
 
     def test_trailing_junk(self, ctx1):
         with pytest.raises(ParseError):
-            parse_element(ctx1, "5j*g5 3")
+            parse_to_element(ctx1, "5j*g5 3")
 
     def test_empty_input(self, ctx1):
         with pytest.raises(ParseError):
-            parse_element(ctx1, "")
+            parse_to_element(ctx1, "")
 
     def test_pair_out_of_range(self, ctx1):
         with pytest.raises(KeyRangeError):
-            parse_element(ctx1, "5j*g(3,0)")
+            parse_to_element(ctx1, "5j*g(3,0)")
         with pytest.raises(KeyRangeError):
-            parse_element(ctx1, "5j*g(0,-1)")
+            parse_to_element(ctx1, "5j*g(0,-1)")
 
     def test_legacy_index_out_of_range(self, ctx1):
         with pytest.raises(KeyRangeError):
-            parse_element(ctx1, "5j*g10")
+            parse_to_element(ctx1, "5j*g10")
 
     def test_pair_form_rejected_for_derived_groups(self):
         ctx = make_group_ring(JRootRing(2), DerivedCyclicGroup(3, 3))
         with pytest.raises(ParseError):
-            parse_element(ctx, "5j*g(0,0)")
+            parse_to_element(ctx, "5j*g(0,0)")
         assert parse_to_element(ctx, "5j*g1") == ctx.element({0: 5})
 
     def test_key_range_is_a_parse_error(self, ctx1):
@@ -146,6 +148,44 @@ class TestRoundTrip:
         ctx = make_group_ring(JRootRing(2), AdiagGroup(3))
         x = ctx.element([((m, n), c) for m, n, c in entries])
         assert parse_to_element(ctx, ctx.render(x)) == x
+
+    def test_cli_session_operands(self, monkeypatch):
+        # every element operand of the benchmark's cli-session lines,
+        # seeds 1-3, in the context its REPL session runs in
+        monkeypatch.delenv("PGR_CONFIG", raising=False)
+        workloads = _benchmark_workloads()
+        contexts = {
+            name: load_config(None, overrides)
+            for name, overrides in workloads.CLI_OVERRIDES.items()
+        }
+        texts = []
+        for seed in (1, 2, 3):
+            for op in workloads.cycle("cli-session", seed, 0):
+                if op["verb"] not in ("eval", "mul", "add", "aug", "quer"):
+                    continue
+                ctx = contexts[op["ctx"]]
+                operands = op["arg"].split("; ")
+                assert len(operands) == len(op["data"])
+                for text, data in zip(operands, op["data"]):
+                    x = parse_to_element(ctx, text)
+                    assert x == ctx.element(data)
+                    rendered = ctx.render(x)
+                    assert parse_to_element(ctx, rendered) == x
+                    assert ctx.render(parse_to_element(ctx, rendered)) == rendered
+                    texts.append(text)
+        assert any(re.search(r"g\(\d+,\d+\)", t) for t in texts)
+        assert any(re.search(r"g\d+", t) for t in texts)
+
+
+def _benchmark_workloads():
+    """The benchmark's seeded input generator, imported read-only; it does
+    not import pgr."""
+    bench = str(Path(__file__).resolve().parent.parent / "benchmarks")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    return workloads
 
 
 class TestBasisLabels:

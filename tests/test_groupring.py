@@ -27,7 +27,6 @@ from pgr import (
     QuantizationMismatch,
     adjoin_zero,
     make_group_ring,
-    validate_profile,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -124,8 +123,7 @@ class TestMultiplication:
         )
 
     def test_budget(self, jz, adiag3):
-        profile = validate_profile(2, 3, 3, 1, 1, 1)
-        ctx = GroupRing(jz, adiag3, profile, mul_budget=3)
+        ctx = GroupRing(jz, adiag3, mul_budget=3)
         two = ctx.element({(0, 0): 1, (1, 1): 1})
         with pytest.raises(BudgetExceeded):
             ctx.mul([two, two, two])
@@ -237,6 +235,20 @@ class TestScalarAction:
     def test_arity(self, ctx1):
         with pytest.raises(ArityMismatch):
             ctx1.scalar_action([1], ctx1.zero())
+
+    def test_scalar_outside_carrier(self):
+        # 2 and 4 are not odd: acting with them would give the coefficient
+        # -24, which is not in the carrier either
+        ctx = make_group_ring(adjoin_zero(OddJRootSemigroup(2)), AdiagGroup(3))
+        x = ctx.element({(0, 0): 3})
+        with pytest.raises(DomainError, match="2 is not an element"):
+            ctx.scalar_action((2, 4), x)
+        assert ctx.scalar_action((1, 3), x) == ctx.element({(0, 0): -9})
+
+    def test_scalars_normalized(self):
+        ctx = make_group_ring(JRootRing(2, 5), AdiagGroup(3))
+        x = ctx.element({(1, 1): 1})
+        assert ctx.scalar_action((6, 1), x) == ctx.scalar_action((1, 1), x)
 
 
 class TestZeroLaws:
@@ -582,7 +594,11 @@ class TestMulEqualsGatheredTerms:
         for x in ops:
             combos *= len(x.terms)
         if combos:
-            tight = GroupRing(ctx.ring, ctx.group, ctx.profile, mul_budget=combos - 1)
+            p = ctx.profile
+            tight = GroupRing(
+                ctx.ring, ctx.group, p.ell_m, p.ell_n, p.ell_g,
+                mul_budget=combos - 1,
+            )
             with pytest.raises(BudgetExceeded):
                 tight.mul(ops)
             with pytest.raises(BudgetExceeded):

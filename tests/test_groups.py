@@ -33,6 +33,27 @@ class TestAdiagProduct:
             assert adiag3.mul(word) == oracle.product_key(3, *word)
 
 
+class TestConstructors:
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: AdiagGroup(True), "cyclic order must be an integer >= 2"),
+            (lambda: DerivedCyclicGroup(True, 3),
+             "cyclic order must be an integer >= 1"),
+            (lambda: DerivedCyclicGroup(3, True),
+             "group arity must be an integer >= 2"),
+        ],
+        ids=["adiag-k", "derived-k", "derived-arity"],
+    )
+    def test_bool_arguments_rejected(self, build, message):
+        with pytest.raises(DomainError, match=message):
+            build()
+
+    def test_integer_one_accepted(self):
+        # True == 1, but the trivial cyclic group is built from the int
+        assert DerivedCyclicGroup(1, 3).elements() == [0]
+
+
 class TestMembership:
     @pytest.mark.parametrize("g", [(True, 0), (0, False)])
     def test_adiag_rejects_bool_exponents(self, adiag3, g):

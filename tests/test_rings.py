@@ -17,6 +17,23 @@ from pgr import (
 )
 
 
+class TestConstructors:
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: JRootRing(True), "root order must be an integer >= 1"),
+            (lambda: JRootRing(False), "root order must be an integer >= 1"),
+            (lambda: JRootRing(2, True), "modulus must be an integer >= 2"),
+            (lambda: JRootRing(2, False), "modulus must be an integer >= 2"),
+            (lambda: OddJRootSemigroup(True), "root order must be an integer >= 2"),
+        ],
+        ids=["q-true", "q-false", "modulus-true", "modulus-false", "odd-q-true"],
+    )
+    def test_bool_arguments_rejected(self, build, message):
+        with pytest.raises(DomainError, match=message):
+            build()
+
+
 class TestAddition:
     def test_worked_sum(self, jz):
         assert jz.add((2, -7)) == -5

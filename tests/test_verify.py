@@ -91,6 +91,14 @@ class TestTotalAssociativity:
                 mode="exhaustive", budget=100,
             )
 
+    def test_unknown_mode_rejected(self):
+        group = AdiagGroup(3)
+        with pytest.raises(DomainError, match="auto, exhaustive or sampled"):
+            check_law(
+                associativity(group.mul, 3), universe=group.elements(),
+                mode="exhaustiv",
+            )
+
     def test_auto_degrades_to_sampling_with_note(self):
         group = AdiagGroup(3)
         report = check_law(
