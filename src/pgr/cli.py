@@ -18,8 +18,8 @@ from itertools import product
 
 from . import verify
 from .dsl import load_config, parse_basis_label, parse_to_element
-from .errors import DomainError, ParseError, PgrError
-from .groupring import GroupRing
+from .errors import BudgetExceeded, DomainError, ParseError, PgrError
+from .groupring import ENUMERATE_BUDGET, GroupRing
 
 VERBS = (
     "eval", "mul", "add", "aug", "quer", "identities", "table", "verify",
@@ -145,6 +145,12 @@ def _table(ctx: GroupRing, argument: str, as_json: bool) -> tuple[str, int]:
                 "table is only printed for 16 or fewer — pass a generator list"
             )
         gens = group.elements()
+    count = len(gens) ** group.arity
+    if count > ENUMERATE_BUDGET:
+        raise BudgetExceeded(
+            f"a product table of {count} rows is over the budget of "
+            f"{ENUMERATE_BUDGET}"
+        )
     rows = []
     for word in product(gens, repeat=group.arity):
         rows.append((*word, group.mul(word)))

@@ -47,7 +47,10 @@ class PolyadicRing:
     # (at any arity) is coordinate addition mod N, so the zero is the
     # coordinate 0 and normalize(c1 + ... + ct) is the sum of t scalars;
     # multiplication is additive in each slot, mul(.., a + b, ..) =
-    # mul(.., a, ..) + mul(.., b, ..) mod N, so it is Z-multilinear.
+    # mul(.., a, ..) + mul(.., b, ..) mod N, so it is Z-multilinear.  With
+    # one coordinate per scalar, a multiplication word of any length is
+    # therefore its value on ones times the product c1 * ... * cL mod N;
+    # GroupRing.mul takes that constant once and never calls mul itself.
     coordinate_modulus: int | None = None
 
     def add(self, coeffs: Sequence):

@@ -117,6 +117,23 @@ class TestCommands:
         assert status == 2
         assert "generator list" in err
 
+    def test_table_rows_over_budget_without_generators(self, capsys):
+        # 2 elements pass the 16-element rule, but 2**25 rows do not fit
+        status, out, err = run(
+            capsys, ["table", "--group", "derived", "--base", "cyclic:2",
+                     "--arity", "25", "--q", "24"]
+        )
+        assert (status, out) == (2, "")
+        assert "33554432 rows" in err
+
+    def test_table_rows_over_budget_with_generators(self, capsys):
+        status, out, err = run(
+            capsys, ["table", "--group", "derived", "--base", "cyclic:4",
+                     "--arity", "10", "--q", "9", "g1 g2 g3 g4"]
+        )
+        assert (status, out) == (2, "")
+        assert f"{4**10} rows" in err
+
 
 class TestExitCodes:
     def test_parse_error_is_1(self, capsys):

@@ -532,9 +532,10 @@ class TestZeroPadding:
 
 
 def _equivalence_contexts() -> list:
-    """Linear contexts over moduli 4, 6, 101 and Z with q = 1, 2, 3 and
-    ell = 1, 2, 3 (staged when n_r == n_g), two n_r != n_g profiles, and
-    the non-linear rings that gather with _accumulate."""
+    """Linear contexts over moduli 4, 5, 6, 9, 101 and Z with q = 1 to 4
+    and ell = 1, 2, 3, n_r == n_g and n_r != n_g profiles over both group
+    families (ring-word constants 1, -1, N - 1 and 5 mod 6), and the
+    non-linear rings that gather with _accumulate."""
     return [
         make_group_ring(JRootRing(2, 4), AdiagGroup(2)),
         make_group_ring(JRootRing(2, 6), DerivedCyclicGroup(3, 3)),
@@ -548,6 +549,10 @@ def _equivalence_contexts() -> list:
         make_group_ring(JRootRing(4), AdiagGroup(3), ell_g=2),
         make_group_ring(JRootRing(2), DerivedCyclicGroup(3, 5), ell_n=2),
         make_group_ring(JRootRing(1, 4), DerivedCyclicGroup(2, 3), ell_n=2),
+        make_group_ring(JRootRing(4, 6), DerivedCyclicGroup(3, 3), ell_g=2),
+        make_group_ring(JRootRing(3), AdiagGroup(2), ell_n=2, ell_g=3),
+        make_group_ring(JRootRing(2, 9), DerivedCyclicGroup(2, 4), ell_n=3, ell_g=2),
+        make_group_ring(JRootRing(1, 5), AdiagGroup(3), ell_n=2),
         make_group_ring(adjoin_zero(OddJRootSemigroup(2)), AdiagGroup(2)),
         make_group_ring(_TernaryAdditionRing(), DerivedCyclicGroup(3, 3)),
     ]
@@ -604,24 +609,47 @@ class TestMulEqualsGatheredTerms:
             with pytest.raises(BudgetExceeded):
                 tight.mul_terms(ops)
 
-    def test_power_runs_as_stages(self):
-        # the ell = 2 product over adiag(C3) on dense operands: 9**5
-        # combinations expanded, 2 * 9**3 ring products staged
-        ring = JRootRing(2)
-        calls = []
-        plain = ring.mul
-        ring.mul = lambda word: calls.append(word) or plain(word)
-        ctx = make_group_ring(ring, AdiagGroup(3), ell_n=2, ell_g=2)
+    @staticmethod
+    def _counted_stages(ring, group, **powers):
+        """A context on ring and group that records their mul words, and
+        five dense seeded operands; nothing recorded yet."""
+        group_words, ring_words = [], []
+        group_mul, ring_mul = group.mul, ring.mul
+        group.mul = lambda word: group_words.append(word) or group_mul(word)
+        ring.mul = lambda word: ring_words.append(word) or ring_mul(word)
+        ctx = make_group_ring(ring, group, **powers)
         rng = random.Random(7)
         ops = [
             ctx.element({g: rng.randint(1, 9) for g in ctx.group.elements()})
             for _ in range(5)
         ]
+        group_words.clear()
+        ring_words.clear()  # the context took the ring word's value on ones
+        return ctx, ops, group_words, ring_words
+
+    def test_power_runs_as_stages(self):
+        # the ell = 2 product over adiag(C3) on dense operands: 9**5
+        # combinations expanded with two group products each, 2 * 9**3
+        # group products staged, and no ring product at all
+        ctx, ops, group_words, ring_words = self._counted_stages(
+            JRootRing(2), AdiagGroup(3), ell_n=2, ell_g=2
+        )
         gathered = ctx.element([(g, c) for c, g in ctx.mul_terms(ops)])
-        assert len(calls) == 2 * 9**5
-        calls.clear()
+        assert len(group_words) == 2 * 9**5
+        group_words.clear()
+        ring_words.clear()
         assert ctx.mul(ops) == gathered
-        assert len(calls) == 2 * 9**3
+        assert (len(group_words), len(ring_words)) == (2 * 9**3, 0)
+
+    def test_unequal_arities_run_as_stages(self):
+        # j4Z[adiag(C3)] with ell_g = 2: n_r = 5 != n_g = 3, and the ring
+        # word still folds into the group stages
+        ctx, ops, group_words, ring_words = self._counted_stages(
+            JRootRing(4), AdiagGroup(3), ell_g=2
+        )
+        product = ctx.mul(ops)
+        assert (len(group_words), len(ring_words)) == (2 * 9**3, 0)
+        assert product == ctx.element([(g, c) for c, g in ctx.mul_terms(ops)])
 
     def test_adjoined_zero_absorbs_and_sums_leave_the_carrier(self):
         ctx = make_group_ring(adjoin_zero(OddJRootSemigroup(2)), AdiagGroup(3))
