@@ -10,6 +10,25 @@ def skew_ternary(word):
     return a - b + 2 * c
 
 
+def skew_adiag3(word):
+    """Non-associative 3-ary operation on the adiag(C3) keys: the adiag
+    product with the middle operand's exponents unswapped and the third's
+    swapped, ((m1 + m2 + n3) % 3, (n1 + m2 + m3) % 3)."""
+    (m1, n1), (m2, _), (m3, n3) = word
+    return ((m1 + m2 + n3) % 3, (n1 + m2 + m3) % 3)
+
+
+class OneWrongProduct:
+    """A group's product with one table entry replaced: associativity then
+    fails only on the words whose evaluation reaches that entry."""
+
+    def __init__(self, group, word, value):
+        self.group, self.word, self.value = group, tuple(word), value
+
+    def mul(self, word):
+        return self.value if tuple(word) == self.word else self.group.mul(word)
+
+
 class AbsCoefficientMul:
     """Group-ring product that drops the sign of every contribution:
     breaks distributivity over signed coefficients."""

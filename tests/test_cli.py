@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from pgr.cli import main
 
 WORKED_ARGS = [
@@ -168,6 +170,19 @@ class TestExitCodes:
         status, out, _ = run(capsys, ["verify", "nonderived"])
         assert status == 0
         assert "status=holds" in out
+
+    @pytest.mark.parametrize(
+        "extra", [["--base", "cyclic:1"], ["--base", "cyclic:2", "--mod", "3"]],
+        ids=["C1", "C2-mod-3"],
+    )
+    def test_verify_all_on_groups_smaller_than_the_sampled_support(
+        self, capsys, extra
+    ):
+        status, out, err = run(capsys, ["verify", "all", "--group", "derived", *extra])
+        assert status == 3
+        failed = [line for line in out.splitlines() if "status=fails" in line]
+        assert len(failed) == 1 and "axiom=nonderived-closure" in failed[0]
+        assert "Traceback" not in err
 
     def test_unknown_verify_target_is_2(self, capsys):
         status, _, _ = run(capsys, ["verify", "everything"])

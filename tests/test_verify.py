@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import controls
 from pgr import (
@@ -16,6 +19,7 @@ from pgr import (
 from pgr.cli import VERIFY_AXIOMS
 from pgr.verify import (
     TARGETS,
+    Law,
     associativity,
     augmentation_homomorphism,
     check_closure_nonderived,
@@ -108,6 +112,102 @@ class TestTotalAssociativity:
         assert report.holds
         assert report.mode == "sampled"
         assert "over budget" in report.note
+
+
+def per_word(law):
+    """The same law without its scan: check_law tests word by word."""
+    return Law(law.name, law.width, law.test)
+
+
+def outcome(law, universe):
+    """A check's report as text and JSON, or the type of what it raised."""
+    try:
+        report = check_law(law, universe=universe, structure="t")
+    except Exception as exc:
+        return type(exc)
+    return report.to_text(), report.to_json()
+
+
+class TestAssociativityScan:
+    def test_tabulates_the_operation_once(self, adiag3):
+        calls = []
+
+        def op(word):
+            calls.append(word)
+            return adiag3.mul(word)
+
+        report = check_law(associativity(op, 3), universe=adiag3.elements())
+        assert report.holds and report.cases == 9**5
+        assert len(calls) == 9**3
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            controls.skew_adiag3,
+            controls.OneWrongProduct(
+                AdiagGroup(3), ((0, 0), (0, 0), (2, 2)), (0, 0)
+            ).mul,
+        ],
+        ids=["skew", "one-wrong-entry"],
+    )
+    def test_controls_fail_as_word_by_word(self, adiag3, op):
+        law = associativity(op, 3)
+        report = check_law(law, universe=adiag3.elements(), structure="c")
+        loop = check_law(per_word(law), universe=adiag3.elements(), structure="c")
+        assert not report.holds and report.mode == "exhaustive"
+        assert report.to_text() == loop.to_text()
+        assert report.to_json() == loop.to_json()
+
+    def test_unhashable_universe_runs_word_by_word(self):
+        def op(word):
+            return [sum(x[0] for x in word) % 2]
+
+        law = associativity(op, 3)
+        universe = [[0], [1]]
+        assert outcome(law, universe) == outcome(per_word(law), universe)
+        assert check_law(law, universe=universe).holds
+
+
+@st.composite
+def finite_operations(draw):
+    """(universe, op, arity): a table on up to four values, associative or
+    not, that may raise or leave the universe, over a universe that may
+    repeat a value."""
+    size = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 4 if size <= 2 else 3))
+    universe = list(range(size))
+    if draw(st.booleans()):
+        universe.append(draw(st.integers(0, size - 1)))
+    words = list(product(range(size), repeat=n))
+    if draw(st.booleans()):
+        values = [sum(w) % size for w in words]
+    else:
+        values = draw(
+            st.lists(st.integers(0, size - 1), min_size=len(words),
+                     max_size=len(words))
+        )
+    fault = draw(st.sampled_from([None, "raise", "leave"]))
+    if fault is not None:
+        values[draw(st.integers(0, len(words) - 1))] = fault
+    table = dict(zip(words, values))
+
+    def op(word):
+        if -1 in word:
+            return -1  # absorbing value outside the universe
+        value = table[tuple(word)]
+        if value == "raise":
+            raise ArithmeticError("no product")
+        return -1 if value == "leave" else value
+
+    return universe, op, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_operations())
+def test_scan_reports_as_word_by_word(case):
+    universe, op, n = case
+    law = associativity(op, n)
+    assert outcome(law, universe) == outcome(per_word(law), universe)
 
 
 class TestDistributivity:

@@ -7,7 +7,7 @@ verify target (the 12 laws and "all") on six contexts, seeds 0, 11 and
 A change to the product or the law runner that leaves every verify answer
 alone leaves the digest alone.
 
-Usage: PYTHONPATH=src python tests/verify_digest.py   (about 40 s)
+Usage: PYTHONPATH=src python tests/verify_digest.py   (about 27 s)
 Exits 0 when the digest matches, 1 when it does not.  Not a pytest module.
 """
 
