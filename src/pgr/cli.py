@@ -1,10 +1,12 @@
 """Command-line interface and REPL.
 
 Exit codes: 0 success, 1 parse error, 2 arity/domain error, 3 a
-verification report came back failing.  ``quer`` on an element with no
-querelement prints NotFound and exits 0: over the j-root rings the answer
-comes from an exact linear solve, so NotFound means proved absent, and it
-is a computed answer, not an error.
+verification report came back failing, 4 an internal error (any other
+exception, reported as one ``internal error: <Type>: <message>`` line on
+stderr).  ``quer`` on an element with no querelement prints NotFound and
+exits 0: over the j-root rings the answer comes from an exact linear
+solve, so NotFound means proved absent, and it is a computed answer, not
+an error.
 """
 
 from __future__ import annotations
@@ -273,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except PgrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a library fault, not a user error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -117,6 +117,7 @@ class GroupRing:
         if self._linear:
             # a linear ring word is its value on ones times c1 * ... * cL
             self._unit = self._ring_word((1,) * profile.gr_mul_arity)
+        self._moves: list | None = None  # _quer_moves, built on first use
 
     # construction ----------------------------------------------------------
 
@@ -358,16 +359,17 @@ class GroupRing:
         The zero has none by convention (absorption makes the defining
         relation vacuous).  For a monomial r*g whose coefficient has a ring
         querelement r̄, the closed form r̄*ḡ is tried first.  Otherwise
-        x̄ solves one exact linear system: the product is linear in the
-        querelement slot over the ring's coordinates (Z, or Z_N mod N), so
-        there is one unknown coefficient per group element and one
-        equation per slot and group element (linsolve.solve).  Where the
-        system is underdetermined, free coordinates are set to zero
-        wherever that gives a solution, so the answer is deterministic.
+        x̄ solves one exact linear system (_quer_system): the product is
+        linear in the querelement slot over the ring's coordinates (Z, or
+        Z_N mod N), so there is one unknown coefficient per group element
+        and one equation per slot and group element (linsolve.solve).  The
+        system costs n products, one per slot, plus moves of their terms.
+        Where the system is underdetermined, free coordinates are set to
+        zero wherever that gives a solution, so the answer is
+        deterministic.
         """
         modulus = self._coordinate_modulus("querelements")
-        n = self.profile.gr_mul_arity
-        if n < 3:
+        if self.profile.gr_mul_arity < 3:
             raise DomainError(
                 "querelements are defined for multiplication arity >= 3"
             )
@@ -380,29 +382,64 @@ class GroupRing:
                 cand = self.element({self.group.quer(g): cq})
                 if self._is_quer(cand, x):
                     return cand
-        keys = self.group.elements()
-        row_of = {g: i for i, g in enumerate(keys)}
-        size = len(keys)
-        rest = [x] * (n - 1)
-        # column j holds the product with 1*keys[j] in the querelement slot
-        a = [[0] * size for _ in range(n * size)]
-        for j, h in enumerate(keys):
-            unit = self.element({h: 1})
-            for p in range(n):
-                for g, c in self.mul([*rest[:p], unit, *rest[p:]]).terms:
-                    a[p * size + row_of[g]][j] = c
-        coords = x.as_dict()
-        b = [coords.get(g, 0) for g in keys] * n
+        a, b = self._quer_system(x)
         y = solve(a, b, modulus)
         if y is None:
             return None
-        cand = self.element(zip(keys, y))
+        cand = self.element(zip(self.group.elements(), y))
         if not self._is_quer(cand, x):
             raise ArithmeticError(
                 f"the linear solve gave {self.render(cand)}, which is not a "
                 f"querelement of {self.render(x)}"
             )
         return cand
+
+    def _quer_system(self, x: GroupRingElement) -> tuple[list, list]:
+        """The querelement system A y = b of x over the keys in
+        group.elements() order: column j of slot p's block of rows is the
+        product with 1*keys[j] in slot p and x in the other n - 1 slots,
+        and b is x's coordinates, once per slot.
+
+        One product per slot is run, with 1*h0 (h0 = keys[0]) in the slot;
+        the block's other columns are its terms moved to other keys.  In
+        the group's binary cover, a word with h in slot p is t times the
+        same word with h0 there, for one translation t =
+        cover.translation(p, h, h0) whatever the other letters are: it
+        exists because the kernel of the cover's coset map is abelian.
+        Over a linear ring a term's coefficient does not depend on the key
+        in the slot, so each column is a relabelling of the first.
+        """
+        keys = self.group.elements()
+        size = len(keys)
+        n = self.profile.gr_mul_arity
+        rest = [x] * (n - 1)
+        unit = self.element({keys[0]: 1})
+        a = [[0] * size for _ in range(n * size)]
+        for p, moves in enumerate(self._quer_moves()):
+            block = a[p * size : (p + 1) * size]
+            for g, c in self.mul([*rest[:p], unit, *rest[p:]]).terms:
+                for j, row in enumerate(moves[g]):
+                    block[row][j] = c
+        coords = x.as_dict()
+        return a, [coords.get(g, 0) for g in keys] * n
+
+    def _quer_moves(self) -> list[dict]:
+        """moves[p][g][j]: the row that key g of the h0 product lands on in
+        column j of slot p's block, the row of g moved by
+        cover.translation(p, keys[j], h0).  Built once per context."""
+        if self._moves is None:
+            cover = self.group.cover()
+            keys = self.group.elements()
+            row_of = {g: i for i, g in enumerate(keys)}
+            self._moves = []
+            for p in range(self.profile.gr_mul_arity):
+                ts = [cover.translation(p, h, keys[0]) for h in keys]
+                self._moves.append({
+                    g: [row_of[cover.project(cover.mul(t, cover.embed(g)))]
+                        for t in ts]
+                    for g in keys
+                })
+        return self._moves
 
     def _is_quer(self, cand: GroupRingElement, x: GroupRingElement) -> bool:
         n = self.profile.gr_mul_arity

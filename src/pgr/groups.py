@@ -9,6 +9,17 @@ Element keys are plain values (an (m, n) exponent pair, or an integer
 exponent) and are totally ordered through ``sort_key``, which for the
 antidiagonal family follows the legacy single-index labelling
 i = k*n + m + 1.
+
+Each family also has a binary cover (``cover()``), after Post's coset
+theorem (E. L. Post, "Polyadic groups", 1940) and Hosszú–Gluskin: an
+ordinary group, the ambient, into which the carrier embeds so that every
+admissible group word is the ambient product of the embedded letters,
+projected back.  The antidiagonal family sits in the diagonal/antidiagonal
+monomial 2x2 matrices over C_k (a product of two carrier elements is
+diagonal, so it leaves the carrier: the evidence of nonderivedness); a
+derived group sits in C_k under +.  The carrier is one coset of the
+normal subgroup K generated by the quotients embed(g) * embed(h)^-1, and
+in both families K is abelian (the diagonal matrices, or C_k itself).
 """
 
 from __future__ import annotations
@@ -24,9 +35,9 @@ class NaryGroup:
     """Common behaviour for a finite group with one n-ary product.
 
     Subclasses set ``arity`` and ``name`` and implement ``elements``,
-    ``mul``, ``contains``, ``sort_key`` and ``label``.  The identity,
-    neutral-polyad and querelement searches below are exhaustive and rely
-    only on ``mul``.
+    ``mul``, ``contains``, ``sort_key``, ``label`` and ``cover``.  The
+    identity, neutral-polyad and querelement searches below are exhaustive
+    and rely only on ``mul``.
     """
 
     arity: int
@@ -110,13 +121,113 @@ class NaryGroup:
         """True when the polyadic power g^<ell> returns g itself."""
         return polyadic_power(self.mul, self.arity, g, ell) == g
 
-    # would-be binary product, for nonderivedness evidence ----------------
-
-    def binary_product(self, x, y):
+    def cover(self) -> BinaryCover:
         raise NotImplementedError
 
-    def binary_product_in_carrier(self, p) -> bool:
+
+class BinaryCover:
+    """A binary group (the ambient) that an n-ary group embeds in: for
+    every admissible word g1 ... gL,
+
+        project(mul(... mul(embed(g1), embed(g2)) ..., embed(gL)))
+
+    is the group word of g1 ... gL.  ``in_carrier`` tells the embedded
+    carrier apart from the rest of the ambient; ``project`` is defined on
+    the carrier only.  Subclasses implement mul, inverse, embed, project
+    and in_carrier.
+    """
+
+    def mul(self, x, y):
         raise NotImplementedError
+
+    def inverse(self, x):
+        raise NotImplementedError
+
+    def embed(self, g):
+        raise NotImplementedError
+
+    def project(self, x):
+        raise NotImplementedError
+
+    def in_carrier(self, x) -> bool:
+        raise NotImplementedError
+
+    def translation(self, p: int, h, h0):
+        """The ambient element t with  L*e(h)*R == t*L*e(h0)*R  for every
+        product L of p embedded letters and every R (e = embed).
+
+        t is u = e(h)*e(h0)^-1 conjugated by L.  u lies in the kernel K of
+        the coset map, and L runs over one coset of K, the p-th power of
+        the carrier's; since K is abelian, conjugating u by any element of
+        that coset gives the same t, so e(h0)^p stands in for L.
+        """
+        e0 = self.embed(h0)
+        back = self.inverse(e0)
+        t = self.mul(self.embed(h), back)
+        for _ in range(p):
+            t = self.mul(self.mul(e0, t), back)
+        return t
+
+
+class MonomialCover(BinaryCover):
+    """The monomial 2x2 matrices over C_k, the cover of adiag(C_k).
+
+    An element is (s, u, v): for s = 0 the diagonal matrix with a^u and
+    a^v on the diagonal, for s = 1 the antidiagonal one with a^u upper
+    right and a^v lower left, so the carrier key (m, n) embeds as
+    (1, m, n).  The coset map is
+    s, and its kernel, the diagonal matrices, is abelian.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def mul(self, x, y):
+        s, a, b = x
+        t, c, d = y
+        if s:
+            c, d = d, c  # an antidiagonal left factor swaps the columns
+        return (s ^ t, (a + c) % self.k, (b + d) % self.k)
+
+    def inverse(self, x):
+        s, a, b = x
+        if s:
+            a, b = b, a
+        return (s, -a % self.k, -b % self.k)
+
+    def embed(self, g):
+        return (1, *g)
+
+    def project(self, x):
+        if not self.in_carrier(x):
+            raise DomainError(f"{x!r} is diagonal, outside the carrier")
+        return x[1:]
+
+    def in_carrier(self, x) -> bool:
+        return x[0] == 1
+
+
+class CyclicCover(BinaryCover):
+    """C_k under +, the cover of derived[n](C_k): the carrier is all of it,
+    so the kernel of the coset map is C_k, abelian."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def mul(self, x, y):
+        return (x + y) % self.k
+
+    def inverse(self, x):
+        return -x % self.k
+
+    def embed(self, g):
+        return g
+
+    def project(self, x):
+        return x
+
+    def in_carrier(self, x) -> bool:
+        return True
 
 
 class AdiagGroup(NaryGroup):
@@ -189,17 +300,8 @@ class AdiagGroup(NaryGroup):
     def label(self, g: tuple[int, int]) -> str:
         return f"g({g[0]},{g[1]})"
 
-    def binary_product(self, x, y):
-        """Ambient 2x2 matrix product of two carrier elements.
-
-        Tagged as ("diag", d1, d2) or ("adiag", m, n); products of two
-        antidiagonal matrices are always diagonal.
-        """
-        (m1, n1), (m2, n2) = x, y
-        return ("diag", (m1 + n2) % self.k, (n1 + m2) % self.k)
-
-    def binary_product_in_carrier(self, p) -> bool:
-        return p[0] == "adiag"
+    def cover(self) -> MonomialCover:
+        return MonomialCover(self.k)
 
 
 class DerivedCyclicGroup(NaryGroup):
@@ -242,8 +344,5 @@ class DerivedCyclicGroup(NaryGroup):
     def label(self, g: int) -> str:
         return f"g{g + 1}"
 
-    def binary_product(self, x, y):
-        return (x + y) % self.k
-
-    def binary_product_in_carrier(self, p) -> bool:
-        return self.contains(p)
+    def cover(self) -> CyclicCover:
+        return CyclicCover(self.k)

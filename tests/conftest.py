@@ -33,3 +33,15 @@ def worked_elements(ctx1):
     r2 = ctx1.element({(0, 2): 2, (1, 2): -7})
     r3 = ctx1.element({(1, 0): -4, (2, 0): 7, (2, 1): -3})
     return r1, r2, r3
+
+
+@pytest.fixture
+def workloads():
+    """The benchmark's seeded input generator, imported read-only; it does
+    not import pgr."""
+    bench = str(Path(__file__).resolve().parent.parent / "benchmarks")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    return workloads

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from pgr import cli
 from pgr.cli import main
 
 WORKED_ARGS = [
@@ -187,6 +188,26 @@ class TestExitCodes:
     def test_unknown_verify_target_is_2(self, capsys):
         status, _, _ = run(capsys, ["verify", "everything"])
         assert status == 2
+
+    def test_internal_error_is_4(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("integer division by zero")
+
+        monkeypatch.setattr(cli, "run_command", broken)
+        status, out, err = run(capsys, ["eval", "1j*g1"])
+        assert status == 4
+        assert out == ""
+        assert err == "internal error: ZeroDivisionError: integer division by zero\n"
+
+    def test_internal_error_in_the_repl_is_4(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("g9")
+
+        monkeypatch.setattr(cli, "run_command", broken)
+        monkeypatch.setattr("sys.stdin", io.StringIO("eval 1j*g1\n"))
+        status, _, err = run(capsys, ["repl"])
+        assert status == 4
+        assert err == "internal error: KeyError: 'g9'\n"
 
 
 class TestJsonOutput:

@@ -3,8 +3,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -149,11 +147,10 @@ class TestRoundTrip:
         x = ctx.element([((m, n), c) for m, n, c in entries])
         assert parse_to_element(ctx, ctx.render(x)) == x
 
-    def test_cli_session_operands(self, monkeypatch):
+    def test_cli_session_operands(self, monkeypatch, workloads):
         # every element operand of the benchmark's cli-session lines,
         # seeds 1-3, in the context its REPL session runs in
         monkeypatch.delenv("PGR_CONFIG", raising=False)
-        workloads = _benchmark_workloads()
         contexts = {
             name: load_config(None, overrides)
             for name, overrides in workloads.CLI_OVERRIDES.items()
@@ -175,17 +172,6 @@ class TestRoundTrip:
                     texts.append(text)
         assert any(re.search(r"g\(\d+,\d+\)", t) for t in texts)
         assert any(re.search(r"g\d+", t) for t in texts)
-
-
-def _benchmark_workloads():
-    """The benchmark's seeded input generator, imported read-only; it does
-    not import pgr."""
-    bench = str(Path(__file__).resolve().parent.parent / "benchmarks")
-    if bench not in sys.path:
-        sys.path.insert(0, bench)
-    import workloads
-
-    return workloads
 
 
 class TestBasisLabels:
