@@ -6,9 +6,11 @@ Grammar (whitespace between tokens is free):
     term    := signed-int ring-symbol "*" basis
     basis   := "g(" int "," int ")" | "g" int        (legacy single index)
 
-The ring symbol is fixed by the active context: "" for the plain integer
-ring (q = 1), "j" for q = 2, "j<q>" otherwise.  The legacy index form
-g<i> maps through i = k*n + m + 1 for the antidiagonal family, so the
+Integers are ASCII digit strings no longer than the interpreter converts
+(sys.get_int_max_str_digits); a longer one is a ParseError.  The ring
+symbol is fixed by the active context: "" for the plain integer ring
+(q = 1), "j" for q = 2, "j<q>" otherwise.  The legacy index form g<i>
+maps through i = k*n + m + 1 for the antidiagonal family, so the
 published worked elements can be typed verbatim.
 
 parse_to_element reads each term straight into a (group key,
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, KeyRangeError, ParseError
@@ -33,8 +36,21 @@ from .rings import JRootRing
 ENV_CONFIG = "PGR_CONFIG"
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[()*,+-])"
+    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[()*,+-])"
 )
+
+
+def _decimal(digits: str, offset: int) -> int:
+    """The value of an ASCII digit string; ParseError at offset when it is
+    longer than the interpreter converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+            offset,
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -93,7 +109,7 @@ class _Parser:
                 tok.offset,
                 ("integer",),
             )
-        return sign * int(tok.text)
+        return sign * _decimal(tok.text, tok.offset)
 
     def parse_basis(self):
         tok = self.take()
@@ -121,8 +137,8 @@ class _Parser:
                     f"g({m},{n}) outside Z_{group.k} x Z_{group.k}", tok.offset
                 )
             return (m, n)
-        if re.fullmatch(r"g\d+", tok.text):
-            index = int(tok.text[1:])
+        if re.fullmatch(r"g[0-9]+", tok.text):
+            index = _decimal(tok.text[1:], tok.offset)
             try:
                 return group.key_of_index(index)
             except DomainError as exc:
@@ -252,13 +268,17 @@ def build_context(config: dict) -> GroupRing:
             group = AdiagGroup(_require(group_cfg, "k", int, "group"))
         elif gkind == "derived":
             base = _require(group_cfg, "base", str, "group")
-            m = re.fullmatch(r"cyclic:(\d+)", base)
+            m = re.fullmatch(r"cyclic:([0-9]+)", base)
             if m is None:
                 raise ConfigError(
                     f"group.base must look like cyclic:<order>, got {base!r}"
                 )
+            try:
+                order = int(m.group(1))
+            except ValueError as exc:  # past sys.get_int_max_str_digits
+                raise ConfigError(f"group.base: {exc}") from None
             group = DerivedCyclicGroup(
-                int(m.group(1)), _require(group_cfg, "arity", int, "group")
+                order, _require(group_cfg, "arity", int, "group")
             )
         else:
             raise ConfigError(f"unknown group kind {gkind!r}")
@@ -286,7 +306,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Group
                 config = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read configuration {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an over-long int
             raise ConfigError(f"configuration {path!r} is not valid JSON: {exc}") from exc
     layers = (DEFAULT_CONFIG, config, {} if overrides is None else overrides)
     return build_context(_layered(*layers))

@@ -9,15 +9,19 @@ the same group element.
 
 A context validates its arity profile once, when it is built, and keeps
 the word functions (arity.word_function) that compose the iterated
-operations; no per-call arity bookkeeping remains in the product.  How a
-product gathers depends on the ring's declared linearity
+operations; no per-call arity bookkeeping remains in the product.  How an
+operation gathers depends on the ring's declared linearity
 (PolyadicRing.coordinate_modulus):
 
-- over a linear ring (coordinates in Z or Z_N) a ring word of any
-  length is its value on ones times the product of its coordinates, so
-  the product runs as ell_g gathered stages of the n_g-ary group
-  product, each keeping one running integer sum per key and normalizing
-  it once; no ring multiplication is called, whatever n_r is;
+- over a linear ring (coordinates in Z or Z_N) R[G] is a free module on
+  the group, and every operation ends in one integer-coordinate gather
+  (_gathered): element, add and augmentation add plain ints per key, and
+  a ring word of any length is its value on ones times the product of
+  its coordinates, so the product runs as ell_g stages of the n_g-ary
+  group product, each keeping one running integer sum per key.  The
+  gather reduces each coordinate mod N once, drops zeros and orders the
+  keys by group.sort_key, cached per context; no ring addition or
+  multiplication is called, whatever m_r and n_r are;
 - any other ring (an adjoined zero, a zeroless semigroup) keeps every
   contribution and folds each key's bag with the ring addition
   (_accumulate), zero-padding it to an admissible length.
@@ -28,6 +32,7 @@ mul_terms is the plain expansion, kept as the reference for both.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -113,28 +118,40 @@ class GroupRing:
         self._sum = left_fold(ring.add, profile.m_r)
         self._ring_word = word_function(ring.mul, profile.n_r, profile.ell_n)
         self._group_word = word_function(group.mul, profile.n_g, profile.ell_g)
-        self._linear = ring.coordinate_modulus is not None
+        self._modulus = ring.coordinate_modulus
+        self._linear = self._modulus is not None
         if self._linear:
             # a linear ring word is its value on ones times c1 * ... * cL
             self._unit = self._ring_word((1,) * profile.gr_mul_arity)
+            # the rank table: group.sort_key of each key, computed on first
+            # sight and held by this context
+            sort_key = cache(group.sort_key)
+            self._rank = lambda term: sort_key(term[0])
         self._moves: list | None = None  # _quer_moves, built on first use
 
     # construction ----------------------------------------------------------
 
     def element(self, data: Mapping | Iterable[tuple]) -> GroupRingElement:
-        """Normalize raw (group key -> coefficient) data: validate entries,
-        gather duplicate keys by ring addition, drop zero coefficients and
-        sort by group key."""
+        """Normalize raw (group key -> coefficient) data: validate entries
+        in input order, gather duplicate keys by ring addition, drop zero
+        coefficients and sort by group key."""
         items = data.items() if isinstance(data, Mapping) else data
-        buckets: dict = {}
+        contains = self.group.contains
+        pairs = []
         for g, c in items:
-            if not self.group.contains(g):
+            if not contains(g):
                 raise DomainError(
                     f"{g!r} is not an element of {self.group.name}"
                 )
-            buckets.setdefault(g, []).append(self._scalar(c))
-        pairs = [(g, self._accumulate(cs)) for g, cs in buckets.items()]
-        return self._canonical(pairs)
+            pairs.append((g, self._scalar(c)))
+        if self._linear:
+            return self._gathered(pairs)
+        buckets: dict = {}
+        for g, c in pairs:
+            buckets.setdefault(g, []).append(c)
+        return self._canonical(
+            [(g, self._accumulate(cs)) for g, cs in buckets.items()]
+        )
 
     def _scalar(self, c):
         """A coefficient or scalar normalized into the ring's carrier;
@@ -153,6 +170,24 @@ class GroupRing:
         if not self.ring.has_zero:
             raise NoZero(f"{self.ring.name} has no zero element")
         return GroupRingElement(())
+
+    def _gathered(self, pairs: Iterable[tuple], scale: int = 1) -> GroupRingElement:
+        """The element over a linear ring whose coordinate at each key is
+        scale times the sum of the integers paired with that key: reduced
+        mod N once (PolyadicRing.coordinate_modulus), zeros dropped, keys
+        ordered by the context's cached group.sort_key."""
+        sums: dict = {}
+        get = sums.get
+        for g, c in pairs:
+            sums[g] = get(g, 0) + c
+        n = self._modulus
+        terms = []
+        for g, c in sums.items():
+            c = scale * c % n if n else scale * c
+            if c:
+                terms.append((g, c))
+        terms.sort(key=self._rank)
+        return GroupRingElement(tuple(terms))
 
     def _canonical(self, pairs: Iterable[tuple]) -> GroupRingElement:
         zero = self.ring.zero() if self.ring.has_zero else None
@@ -212,8 +247,11 @@ class GroupRing:
         return combos
 
     def add(self, operands: Sequence[GroupRingElement]) -> GroupRingElement:
-        """Coefficient-wise iterated ring addition of gr_add_arity operands."""
+        """Coefficient-wise iterated ring addition of gr_add_arity operands;
+        over a linear ring, the coordinate sum of the operands' terms."""
         self._check_operands(operands, self.profile.gr_add_arity, "addition")
+        if self._linear:
+            return self._gathered([t for x in operands for t in x.terms])
         keys: set = set()
         for x in operands:
             keys.update(x.support())
@@ -255,12 +293,13 @@ class GroupRing:
 
         Equal to gathering mul_terms.  Over a linear ring the ring word is
         the constant _unit (its value on ones) times math.prod of the
-        coordinates, so the product runs as ell_g gathered stages of the
-        group product, one running sum per key: an ell_g = 2 product over
-        adiag(C3) costs 2 * 9**3 group products instead of 9**5 words,
-        for any n_r.  Any other ring gathers each key's contributions in
-        expansion order with _accumulate.  BudgetExceeded is raised for
-        the same operands as mul_terms.
+        coordinates, so the product runs as ell_g stages of the group
+        product, one running integer sum per key, and ends in one
+        _gathered: an ell_g = 2 product over adiag(C3) costs 2 * 9**3
+        group products instead of 9**5 words, for any n_r.  Any other ring
+        gathers each key's contributions in expansion order with
+        _accumulate.  BudgetExceeded is raised for the same operands as
+        mul_terms.
         """
         combos = self._combinations(operands)
         if not combos:
@@ -277,24 +316,22 @@ class GroupRing:
                 [(g, self._accumulate(cs)) for g, cs in buckets.items()]
             )
         width = self.profile.n_g
-        acc = self._linear_stage(columns[:width], self._unit)
+        acc = self._linear_stage(columns[:width])
         for i in range(width, len(columns), width - 1):
             column = (tuple(acc), tuple(acc.values()))
-            acc = self._linear_stage([column, *columns[i : i + width - 1]], 1)
-        return self._canonical(acc.items())
+            acc = self._linear_stage([column, *columns[i : i + width - 1]])
+        return self._gathered(acc.items(), self._unit)
 
-    def _linear_stage(self, columns: list, scale: int) -> dict:
-        """One n_g-ary group product gathered over a linear ring: a running
-        sum of coordinate products per key, scaled and normalized once
-        (PolyadicRing.coordinate_modulus)."""
+    def _linear_stage(self, columns: list) -> dict:
+        """One n_g-ary group product over a linear ring: a running integer
+        sum of coordinate products per key, left for _gathered to reduce."""
         sums: dict = {}
         get = sums.get
         group_mul = self.group.mul
         for ks, cs in _lock_step(columns):
             g = group_mul(ks)
             sums[g] = get(g, 0) + prod(cs)
-        normalize = self.ring.normalize
-        return {g: normalize(scale * total) for g, total in sums.items()}
+        return sums
 
     def scalar_action(
         self, scalars: Sequence, x: GroupRingElement
@@ -454,7 +491,11 @@ class GroupRing:
         """Collapse a formal sum onto its coefficient total: the iterated
         ring addition of all coefficients, zero-padded up to the next
         admissible word length (no padding ever occurs for binary addition
-        of two or more terms)."""
+        of two or more terms); over a linear ring, the coordinate total
+        mod N."""
+        if self._linear:
+            total = sum([c for _, c in x.terms])
+            return total % self._modulus if self._modulus else total
         return self._accumulate(x.coefficients())
 
     def in_augmentation_ideal(self, x: GroupRingElement) -> bool:

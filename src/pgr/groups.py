@@ -261,13 +261,12 @@ class AdiagGroup(NaryGroup):
         return self.k * self.k
 
     def contains(self, g) -> bool:
+        if not (isinstance(g, tuple) and len(g) == 2):
+            return False
+        m, n = g
         return (
-            isinstance(g, tuple)
-            and len(g) == 2
-            and all(
-                isinstance(c, int) and not isinstance(c, bool) and 0 <= c < self.k
-                for c in g
-            )
+            isinstance(m, int) and not isinstance(m, bool) and 0 <= m < self.k
+            and isinstance(n, int) and not isinstance(n, bool) and 0 <= n < self.k
         )
 
     def mul(self, word: Sequence[tuple[int, int]]) -> tuple[int, int]:

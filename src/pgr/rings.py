@@ -16,7 +16,9 @@ ring becomes finite and exhaustively checkable.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from collections.abc import Sequence
 
 from .arity import is_integer, polyadic_power
@@ -29,6 +31,24 @@ from .errors import (
 )
 
 SAMPLE_BOUND = 50  # sampled coefficients for infinite rings lie in [-50, 50]
+
+
+def _decimal_str(r: int) -> str:
+    """str(r); DomainError, naming the digit count, when r has more digits
+    than the interpreter converts to text (sys.get_int_max_str_digits)."""
+    try:
+        return str(r)
+    except ValueError:
+        r = abs(r)
+        digits = int((r.bit_length() - 1) * math.log10(2)) + 1
+        while r >= 10**digits:
+            digits += 1
+        while r < 10 ** (digits - 1):
+            digits -= 1
+        raise DomainError(
+            f"a coefficient of {digits} digits is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer output"
+        ) from None
 
 
 class PolyadicRing:
@@ -155,7 +175,7 @@ class JRootRing(PolyadicRing):
         return rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
 
     def format_scalar(self, r: int) -> str:
-        return "0" if r == 0 else f"{r}{self.symbol}"
+        return "0" if r == 0 else f"{_decimal_str(r)}{self.symbol}"
 
     # special elements -----------------------------------------------------
 
@@ -273,7 +293,7 @@ class OddJRootSemigroup(PolyadicRing):
         return 2 * k + 1
 
     def format_scalar(self, r: int) -> str:
-        return f"{r}{self.symbol}"
+        return f"{_decimal_str(r)}{self.symbol}"
 
 
 class _AdjoinedZeroScalar:

@@ -33,7 +33,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, permutations, product
 
-from .arity import iterate_op
+from .arity import word_function
 from .errors import BudgetExceeded, DomainError
 from .groupring import GroupRing
 from .groups import NaryGroup
@@ -441,21 +441,20 @@ def augmentation_homomorphism(ctx: GroupRing) -> Law:
     """The coefficient-total map preserves both operations at unchanged
     arities: aug(add(xs)) equals the iterated ring sum of the totals, and
     aug(mul(ys)) the iterated ring product of the totals.  A word is the
-    summands xs followed by the factors ys."""
+    summands xs followed by the factors ys.  The ring-side words are
+    composed by word functions validated once, when the law is built."""
     p = ctx.profile
+    ring_sum = word_function(ctx.ring.add, p.m_r, p.ell_m)
+    ring_product = word_function(ctx.ring.mul, p.n_r, p.ell_n)
 
     def test(word):
         xs, ys = word[: p.gr_add_arity], word[p.gr_add_arity :]
         lhs = ctx.augmentation(ctx.add(xs))
-        rhs = iterate_op(
-            ctx.ring.add, p.m_r, p.ell_m, [ctx.augmentation(x) for x in xs]
-        )
+        rhs = ring_sum(tuple([ctx.augmentation(x) for x in xs]))
         if lhs != rhs:
             return Counterexample(tuple(xs), lhs, rhs, "additive side")
         lhs = ctx.augmentation(ctx.mul(ys))
-        rhs = iterate_op(
-            ctx.ring.mul, p.n_r, p.ell_n, [ctx.augmentation(y) for y in ys]
-        )
+        rhs = ring_product(tuple([ctx.augmentation(y) for y in ys]))
         if lhs != rhs:
             return Counterexample(tuple(ys), lhs, rhs, "multiplicative side")
         return None

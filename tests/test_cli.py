@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -210,6 +211,90 @@ class TestExitCodes:
         assert err == "internal error: KeyError: 'g9'\n"
 
 
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+needs_limit = pytest.mark.skipif(
+    not LIMIT, reason="this interpreter converts integers of any length"
+)
+
+
+class TestIntegerLimits:
+    @needs_limit
+    def test_long_coefficient_is_a_parse_error(self, capsys):
+        status, out, err = run(capsys, ["eval", "7" * (LIMIT + 700) + "j*g1"])
+        assert (status, out) == (1, "")
+        assert err == (
+            f"parse error: integer literal of {LIMIT + 700} digits is over "
+            f"the limit of {LIMIT} digits at offset 0\n"
+        )
+
+    @needs_limit
+    @pytest.mark.parametrize(
+        "text", ["1j*g(0,{})", "1j*g({},0)", "1j*g{}"], ids=["n", "m", "index"]
+    )
+    def test_long_key_literal_is_a_parse_error(self, capsys, text):
+        digits = "7" * (LIMIT + 1)
+        status, _, err = run(capsys, ["eval", text.format(digits)])
+        assert status == 1
+        offset = text.index("{") - (0 if "(" in text else 1)
+        assert err.endswith(f"digits at offset {offset}\n")
+
+    def test_digits_are_ascii(self, capsys):
+        status, out, err = run(capsys, ["eval", "\u0663j*g1"])  # ARABIC-INDIC 3
+        assert (status, out) == (1, "")
+        assert err == "parse error: unexpected character '\u0663' at offset 0\n"
+        status, _, _ = run(capsys, ["eval", "1j*g\u0663"])
+        assert status == 1
+
+    @needs_limit
+    def test_long_product_is_a_domain_error(self, capsys):
+        # (10**d - 1)**3 has 3d digits
+        d = LIMIT // 3 + 100
+        nines = "9" * d
+        status, out, err = run(capsys, ["mul", ";".join([f"{nines}j*g1"] * 3)])
+        assert (status, out) == (2, "")
+        assert err == (
+            f"error: a coefficient of {3 * d} digits is over the limit of "
+            f"{LIMIT} digits for integer output\n"
+        )
+
+    @needs_limit
+    @pytest.mark.parametrize("verb", ["aug", "eval"])
+    def test_long_total_is_a_domain_error(self, capsys, verb):
+        # 2 * (10**LIMIT - 1) has LIMIT + 1 digits; each literal has LIMIT
+        nines = "9" * LIMIT
+        status, out, err = run(
+            capsys, [verb, f"{nines}j*g1 + {nines}j*g1", "--json"]
+        )
+        assert (status, out) == (2, "")
+        assert f"a coefficient of {LIMIT + 1} digits" in err
+
+    def test_group_order_digits_are_ascii(self, capsys):
+        status, _, err = run(
+            capsys, ["arity", "--group", "derived", "--base", "cyclic:\u0663"]
+        )
+        assert status == 2
+        assert "group.base must look like cyclic:<order>" in err
+
+    @needs_limit
+    def test_long_group_order_is_a_config_error(self, capsys, tmp_path):
+        digits = "1" * (LIMIT + 1)
+        status, _, err = run(
+            capsys, ["arity", "--group", "derived", "--base", f"cyclic:{digits}"]
+        )
+        assert status == 2
+        assert err.startswith("error: group.base: ")
+        path = tmp_path / "ctx.json"
+        path.write_text(f'{{"ring": {{"q": {digits}}}}}')
+        status, _, err = run(capsys, ["arity", "--config", str(path)])
+        assert status == 2
+        assert "is not valid JSON" in err
+
+    @needs_limit
+    def test_literal_at_the_limit_still_parses(self, capsys):
+        status, out, _ = run(capsys, ["eval", "9" * LIMIT + "j*g1"])
+        assert (status, out) == (0, "9" * LIMIT + "j*g(0,0)\n")
+
+
 class TestJsonOutput:
     def test_eval(self, capsys):
         status, out, _ = run(capsys, ["eval", "5j*g5", "--json"])
@@ -266,6 +351,13 @@ class TestConfigFlow:
         status, _, err = run(capsys, ["arity", "--config", str(path)])
         assert status == 2
         assert "error" in err
+
+    def test_config_file_that_is_not_utf8_is_2(self, capsys, tmp_path):
+        path = tmp_path / "ctx.json"
+        path.write_bytes(b'{"ring": {"q": 2}} \xff')
+        status, _, err = run(capsys, ["arity", "--config", str(path)])
+        assert status == 2
+        assert err.startswith(f"error: configuration {str(path)!r} is not valid JSON")
 
 
 class TestDeterminism:

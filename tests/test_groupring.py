@@ -739,3 +739,144 @@ class TestMulEqualsGatheredTerms:
         assert len(ctx.mul([x, y, x]).terms) == 2
         with pytest.raises(NotClosed):
             ctx.mul([y, y, y])
+
+
+class _BucketRing:
+    """A ring seen through a wrapper that declares no linearity
+    (coordinate_modulus None) and delegates everything else, so a context
+    on it gathers with _accumulate and _canonical where a context on the
+    ring itself gathers in integer coordinates."""
+
+    coordinate_modulus = None
+
+    def __init__(self, base):
+        self.base = base
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+
+def _gather_contexts() -> list:
+    """(linear, bucket) context pairs over Z and mod 4, 6 and 101, on
+    adiag(C2..C4), derived[3](C4) and derived[4](C3), with ell_m = ell_g =
+    ell for ell 1 to 3; the ring is j_q with n_r = n_g, or Z with binary
+    multiplication (n_r = 2 != n_g)."""
+    groups = [
+        AdiagGroup(2), AdiagGroup(3), AdiagGroup(4),
+        DerivedCyclicGroup(4, 3), DerivedCyclicGroup(3, 4),
+    ]
+    pairs = []
+    for modulus in (None, 4, 6, 101):
+        for group in groups:
+            q = group.arity - 1
+            for ell in (1, 2, 3):
+                for ring_q, ell_n in ((q, ell), (1, ell * q)):
+                    ring = JRootRing(ring_q, modulus)
+                    powers = {"ell_m": ell, "ell_n": ell_n, "ell_g": ell}
+                    pairs.append((
+                        make_group_ring(ring, group, **powers),
+                        make_group_ring(_BucketRing(ring), group, **powers),
+                    ))
+    return pairs
+
+
+GATHER_CONTEXTS = _gather_contexts()
+# entries outside the carrier, for either group family and any j-root ring
+BAD_KEYS = [(9, 0), (0,), (0, 0, 0), (True, 0), -1, 9, True, 1.0, "g1", [0, 0], None]
+BAD_COEFFICIENTS = [1.5, True, False, "3", None, 2j]
+
+
+def _result(compute):
+    """A value, or the type and message of the DomainError it raises."""
+    try:
+        return ("value", compute())
+    except DomainError as exc:
+        return ("raises", type(exc), str(exc))
+
+
+@st.composite
+def _gather_case(draw):
+    linear, bucket = draw(st.sampled_from(GATHER_CONTEXTS))
+    keys = linear.group.elements()
+    n = linear.ring.coordinate_modulus
+    size = 3 if linear.profile.gr_mul_arity <= 4 else 2
+
+    def entries():
+        """Raw entries over at most `size` keys, with duplicate keys and,
+        sometimes, one key whose entries cancel to 0 mod N."""
+        out = draw(st.lists(
+            st.tuples(st.sampled_from(keys), st.integers(-300, 300)),
+            max_size=2 * size,
+        ).filter(lambda es: len({g for g, _ in es}) <= size))
+        if out and draw(st.booleans()):
+            g = draw(st.sampled_from([g for g, _ in out]))
+            total = sum(c for h, c in out if h == g)
+            c = -total + draw(st.integers(-2, 2)) * n
+            out.insert(draw(st.integers(0, len(out))), (g, c))
+        return out
+
+    raw = entries()
+    bad = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(BAD_KEYS), st.integers(-9, 9)),
+        st.tuples(st.sampled_from(keys), st.sampled_from(BAD_COEFFICIENTS)),
+    ), max_size=2))
+    for entry in bad:
+        raw.insert(draw(st.integers(0, len(raw))), entry)
+    pool = [linear.element(entries()) for _ in range(draw(st.integers(1, 3)))]
+    pool.append(linear.element([(g, -c) for g, c in pool[0].terms]))
+
+    def operands(count):
+        return [draw(st.sampled_from(pool)) for _ in range(count)]
+
+    scalars = draw(st.lists(
+        st.one_of(st.integers(-300, 300), st.sampled_from(BAD_COEFFICIENTS)),
+        min_size=linear.ring.n_r - 1, max_size=linear.ring.n_r - 1,
+    ))
+    return (
+        linear, bucket, raw, operands(linear.profile.gr_add_arity),
+        operands(linear.profile.gr_mul_arity), scalars,
+    )
+
+
+class TestLinearGatherEqualsBucketPath:
+    """Over a j-root ring, element, add, mul and augmentation gather in
+    integer coordinates (GroupRing._gathered); a wrapper ring that declares
+    no linearity runs the same data through the bucket path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gather_case())
+    def test_both_paths_agree(self, case):
+        linear, bucket, raw, summands, factors, scalars = case
+        built = _result(lambda: linear.element(raw))
+        assert built == _result(lambda: bucket.element(raw))
+        if built[0] == "value":
+            assert linear.element(dict(raw)) == bucket.element(dict(raw))
+        for x in {*summands, *factors}:
+            assert bucket.element(x.terms) == x
+            assert linear.augmentation(x) == bucket.augmentation(x)
+        total = linear.add(summands)
+        assert total == bucket.add(summands)
+        assert linear.augmentation(total) == bucket.augmentation(total)
+        product = linear.mul(factors)
+        assert product == bucket.mul(factors)
+        assert linear.augmentation(product) == bucket.augmentation(product)
+        for x in (summands[0], total, product):
+            assert _result(lambda: linear.scalar_action(scalars, x)) == _result(
+                lambda: bucket.scalar_action(scalars, x)
+            )
+
+    def test_bad_entries_raise_in_input_order(self):
+        linear, bucket = GATHER_CONTEXTS[0]
+        raw = [((0, 0), 1), ((0, 0), 1.5), ((9, 0), 1)]
+        for ctx in (linear, bucket):
+            with pytest.raises(DomainError, match="got 1.5"):
+                ctx.element(raw)
+            with pytest.raises(DomainError, match=r"\(9, 0\) is not"):
+                ctx.element(raw[::-1])
+
+    def test_cancelling_entries_leave_no_term(self):
+        for linear, bucket in GATHER_CONTEXTS:
+            g = linear.group.elements()[-1]
+            n = linear.ring.coordinate_modulus
+            raw = [(g, 5), (g, -5 + 3 * n)]
+            assert linear.element(raw).is_zero() and bucket.element(raw).is_zero()

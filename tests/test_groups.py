@@ -54,11 +54,30 @@ class TestConstructors:
         assert DerivedCyclicGroup(1, 3).elements() == [0]
 
 
+class _Pair(tuple):
+    pass
+
+
 class TestMembership:
     @pytest.mark.parametrize("g", [(True, 0), (0, False)])
     def test_adiag_rejects_bool_exponents(self, adiag3, g):
         assert not adiag3.contains(g)
         assert adiag3.contains((1, 0))
+
+    @pytest.mark.parametrize(
+        "g",
+        [(1, 0), (2, 2), _Pair((1, 2)), (3, 0), (0, 3), (-1, 0), (0, -1),
+         (0,), (0, 0, 0), (), [0, 0], (1.0, 0), (0, "1"), (None, 0), 5, None,
+         "g1", (True, True)],
+    )
+    def test_adiag_membership_is_the_componentwise_test(self, adiag3, g):
+        expected = (
+            isinstance(g, tuple) and len(g) == 2 and all(
+                isinstance(c, int) and not isinstance(c, bool) and 0 <= c < 3
+                for c in g
+            )
+        )
+        assert adiag3.contains(g) is expected
 
 
 class TestQuerelement:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -242,6 +243,26 @@ class TestMisc:
         assert jz.format_scalar(0) == "0"
         assert JRootRing(4).format_scalar(7) == "7j4"
         assert JRootRing(1).format_scalar(7) == "7"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integers of any length",
+    )
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 250])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_format_names_the_digit_count_past_the_limit(self, offset, sign):
+        limit = sys.get_int_max_str_digits()
+        d = limit + offset
+        for r, digits in ((10**d - 1, d), (10**d, d + 1), (7 * 10**d, d + 1)):
+            if digits <= limit:
+                assert JRootRing(2).format_scalar(sign * r) == f"{sign * r}j"
+                continue
+            with pytest.raises(DomainError) as exc:
+                JRootRing(2).format_scalar(sign * r)
+            assert str(exc.value) == (
+                f"a coefficient of {digits} digits is over the limit of "
+                f"{limit} digits for integer output"
+            )
 
     def test_names(self):
         assert JRootRing(2).name == "jZ"
