@@ -10,8 +10,9 @@ Integers are ASCII digit strings no longer than the interpreter converts
 (sys.get_int_max_str_digits); a longer one is a ParseError.  The ring
 symbol is fixed by the active context: "" for the plain integer ring
 (q = 1), "j" for q = 2, "j<q>" otherwise.  The legacy index form g<i>
-maps through i = k*n + m + 1 for the antidiagonal family, so the
-published worked elements can be typed verbatim.
+is the key at position i - 1 (group.key), so i = k*n + m + 1 for the
+antidiagonal family and the published worked elements can be typed
+verbatim.
 
 parse_to_element reads each term straight into a (group key,
 coefficient) pair and hands the pairs to GroupRing.element, which
@@ -132,7 +133,7 @@ class _Parser:
             self.expect_punct(",")
             n = self.parse_int("second exponent")
             self.expect_punct(")")
-            if not (0 <= m < group.k and 0 <= n < group.k):
+            if not group.contains((m, n)):
                 raise KeyRangeError(
                     f"g({m},{n}) outside Z_{group.k} x Z_{group.k}", tok.offset
                 )
@@ -140,9 +141,11 @@ class _Parser:
         if re.fullmatch(r"g[0-9]+", tok.text):
             index = _decimal(tok.text[1:], tok.offset)
             try:
-                return group.key_of_index(index)
+                return group.key(index - 1)
             except DomainError as exc:
-                raise KeyRangeError(str(exc), tok.offset) from exc
+                raise KeyRangeError(
+                    f"legacy index {index} outside 1..{group.size()}", tok.offset
+                ) from exc
         raise ParseError(
             f"malformed basis {tok.text!r}", tok.offset, ("g(<m>,<n>)", "g<index>")
         )

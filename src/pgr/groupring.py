@@ -20,8 +20,8 @@ operation gathers depends on the ring's declared linearity
   its coordinates, so the product runs as ell_g stages of the n_g-ary
   group product, each keeping one running integer sum per key.  The
   gather reduces each coordinate mod N once, drops zeros and orders the
-  keys by group.sort_key, cached per context; no ring addition or
-  multiplication is called, whatever m_r and n_r are;
+  keys by group.position; no ring addition or multiplication is called,
+  whatever m_r and n_r are;
 - any other ring (an adjoined zero, a zeroless semigroup) keeps every
   contribution and folds each key's bag with the ring addition
   (_accumulate), zero-padding it to an admissible length.
@@ -32,7 +32,6 @@ mul_terms is the plain expansion, kept as the reference for both.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cache
 from itertools import product
 from math import prod
 
@@ -123,10 +122,6 @@ class GroupRing:
         if self._linear:
             # a linear ring word is its value on ones times c1 * ... * cL
             self._unit = self._ring_word((1,) * profile.gr_mul_arity)
-            # the rank table: group.sort_key of each key, computed on first
-            # sight and held by this context
-            sort_key = cache(group.sort_key)
-            self._rank = lambda term: sort_key(term[0])
         self._moves: list | None = None  # _quer_moves, built on first use
 
     # construction ----------------------------------------------------------
@@ -175,24 +170,23 @@ class GroupRing:
         """The element over a linear ring whose coordinate at each key is
         scale times the sum of the integers paired with that key: reduced
         mod N once (PolyadicRing.coordinate_modulus), zeros dropped, keys
-        ordered by the context's cached group.sort_key."""
+        ordered by group.position."""
         sums: dict = {}
         get = sums.get
         for g, c in pairs:
             sums[g] = get(g, 0) + c
         n = self._modulus
         terms = []
-        for g, c in sums.items():
-            c = scale * c % n if n else scale * c
+        for g in sorted(sums, key=self.group.position):
+            c = scale * sums[g] % n if n else scale * sums[g]
             if c:
                 terms.append((g, c))
-        terms.sort(key=self._rank)
         return GroupRingElement(tuple(terms))
 
     def _canonical(self, pairs: Iterable[tuple]) -> GroupRingElement:
         zero = self.ring.zero() if self.ring.has_zero else None
         kept = [(g, c) for g, c in pairs if not (self.ring.has_zero and c == zero)]
-        kept.sort(key=lambda t: self.group.sort_key(t[0]))
+        kept.sort(key=lambda t: self.group.position(t[0]))
         return GroupRingElement(tuple(kept))
 
     def _accumulate(self, coeffs: Sequence):
@@ -365,7 +359,7 @@ class GroupRing:
             return []
         out = []
         for er in sorted(ring_ids):
-            for eg in sorted(self.group.identities(), key=self.group.sort_key):
+            for eg in self.group.identities():
                 cand = self.element({eg: er})
                 if self._is_neutral(cand):
                     out.append(cand)
@@ -445,10 +439,19 @@ class GroupRing:
         exists because the kernel of the cover's coset map is abelian.
         Over a linear ring a term's coefficient does not depend on the key
         in the slot, so each column is a relabelling of the first.
+
+        The system and the moves hold n * |G|**2 cells; over
+        ENUMERATE_BUDGET, BudgetExceeded names the count before either is
+        built.
         """
-        keys = self.group.elements()
-        size = len(keys)
+        size = self.group.size()
         n = self.profile.gr_mul_arity
+        if n * size * size > ENUMERATE_BUDGET:
+            raise BudgetExceeded(
+                f"the querelement system needs {n * size * size} cells, over "
+                f"the budget of {ENUMERATE_BUDGET}"
+            )
+        keys = self.group.elements()
         rest = [x] * (n - 1)
         unit = self.element({keys[0]: 1})
         a = [[0] * size for _ in range(n * size)]
@@ -467,12 +470,12 @@ class GroupRing:
         if self._moves is None:
             cover = self.group.cover()
             keys = self.group.elements()
-            row_of = {g: i for i, g in enumerate(keys)}
+            position = self.group.position
             self._moves = []
             for p in range(self.profile.gr_mul_arity):
                 ts = [cover.translation(p, h, keys[0]) for h in keys]
                 self._moves.append({
-                    g: [row_of[cover.project(cover.mul(t, cover.embed(g)))]
+                    g: [position(cover.project(cover.mul(t, cover.embed(g))))
                         for t in ts]
                     for g in keys
                 })
@@ -508,14 +511,17 @@ class GroupRing:
     def elements(self, budget: int = ENUMERATE_BUDGET) -> list[GroupRingElement]:
         """All canonical elements of a finite context: |R| ** |G| of them."""
         coeffs = self.ring.elements()  # raises InfiniteUniverse over Z
-        keys = self.group.elements()
-        total = len(coeffs) ** len(keys)
-        if total > budget:
+        size = self.group.size()
+        # 2 ** budget.bit_length() > budget, so for |R| >= 2 the power
+        # capped there is over budget exactly when the full one is, and it
+        # stays small however large the group is
+        if len(coeffs) ** min(size, budget.bit_length()) > budget:
             raise BudgetExceeded(
-                f"enumeration of {total} elements is over the budget {budget}"
+                f"enumerating {len(coeffs)}**{size} elements is over budget {budget}"
             )
+        keys = self.group.elements()
         out = []
-        for combo in product(coeffs, repeat=len(keys)):
+        for combo in product(coeffs, repeat=size):
             out.append(self._canonical(list(zip(keys, combo))))
         return out
 

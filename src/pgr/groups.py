@@ -6,9 +6,11 @@ exactly by their generator-exponent pairs) and groups whose n-ary product
 is derived by iterating an ordinary cyclic group.
 
 Element keys are plain values (an (m, n) exponent pair, or an integer
-exponent) and are totally ordered through ``sort_key``, which for the
-antidiagonal family follows the legacy single-index labelling
-i = k*n + m + 1.
+exponent).  Each family fixes one order on its keys as a bijection with
+0..size()-1, by arithmetic and without listing them: ``position(g)`` and
+its inverse ``key(i)``.  The antidiagonal family puts (m, n) at k*n + m,
+so the legacy single-index label g<i> is i = position + 1; a derived
+group puts g at g.  ``elements()`` lists the keys in that order.
 
 Each family also has a binary cover (``cover()``), after Post's coset
 theorem (E. L. Post, "Polyadic groups", 1940) and Hosszú–Gluskin: an
@@ -34,17 +36,30 @@ from .errors import ArityMismatch, DomainError
 class NaryGroup:
     """Common behaviour for a finite group with one n-ary product.
 
-    Subclasses set ``arity`` and ``name`` and implement ``elements``,
-    ``mul``, ``contains``, ``sort_key``, ``label`` and ``cover``.  The
-    identity, neutral-polyad and querelement searches below are exhaustive
-    and rely only on ``mul``.
+    Subclasses set ``arity`` and ``name`` and implement ``size``,
+    ``position``, ``key``, ``mul``, ``contains`` and ``cover``; only
+    ``position`` and ``key`` encode the key order, and ``label`` defaults
+    to g<position + 1>.  The identity, neutral-polyad and querelement
+    searches below are exhaustive and rely only on ``mul``.
     """
 
     arity: int
     name: str
 
-    def elements(self) -> list:
+    def size(self) -> int:
         raise NotImplementedError
+
+    def position(self, g) -> int:
+        """The 0-based place of key g in the group's key order."""
+        raise NotImplementedError
+
+    def key(self, i: int):
+        """The key at position i; DomainError outside 0..size()-1."""
+        raise NotImplementedError
+
+    def elements(self) -> list:
+        """Every key, in position order, listed afresh on each call."""
+        return [self.key(i) for i in range(self.size())]
 
     def mul(self, word: Sequence):
         raise NotImplementedError
@@ -52,14 +67,8 @@ class NaryGroup:
     def contains(self, g) -> bool:
         raise NotImplementedError
 
-    def sort_key(self, g):
-        raise NotImplementedError
-
     def label(self, g) -> str:
-        raise NotImplementedError
-
-    def size(self) -> int:
-        return len(self.elements())
+        return f"g{self.position(g) + 1}"
 
     def _check_arity(self, word: Sequence) -> None:
         if len(word) != self.arity:
@@ -95,12 +104,13 @@ class NaryGroup:
         the noncommutative antidiagonal family and would reject every
         candidate there.
         """
+        keys = self.elements()
         out = []
-        for e in self.elements():
+        for e in keys:
             pad = (e,) * (self.arity - 1)
             if all(
                 self.mul((x, *pad)) == x and self.mul((*pad, x)) == x
-                for x in self.elements()
+                for x in keys
             ):
                 out.append(e)
         return out
@@ -108,11 +118,12 @@ class NaryGroup:
     def neutral_polyads(self) -> list[tuple]:
         """All (arity-1)-tuples t with mul(x, *t) = x and mul(*t, x) = x
         for every x; identities correspond to the constant tuples."""
+        keys = self.elements()
         out = []
-        for t in product(self.elements(), repeat=self.arity - 1):
+        for t in product(keys, repeat=self.arity - 1):
             if all(
                 self.mul((x, *t)) == x and self.mul((*t, x)) == x
-                for x in self.elements()
+                for x in keys
             ):
                 out.append(t)
         return out
@@ -250,15 +261,18 @@ class AdiagGroup(NaryGroup):
             raise DomainError(f"cyclic order must be an integer >= 2, got {k!r}")
         self.k = k
         self.name = f"adiag(C{k})"
-        self._elements = [
-            (m, n) for n in range(k) for m in range(k)
-        ]  # legacy index order: i = k*n + m + 1
-
-    def elements(self) -> list[tuple[int, int]]:
-        return list(self._elements)
 
     def size(self) -> int:
         return self.k * self.k
+
+    def position(self, g: tuple[int, int]) -> int:
+        m, n = g
+        return self.k * n + m
+
+    def key(self, i: int) -> tuple[int, int]:
+        if not 0 <= i < self.k * self.k:
+            raise DomainError(f"no key at position {i} in {self.name}")
+        return (i % self.k, i // self.k)
 
     def contains(self, g) -> bool:
         if not (isinstance(g, tuple) and len(g) == 2):
@@ -282,20 +296,6 @@ class AdiagGroup(NaryGroup):
         m, n = g
         return ((self.k - n) % self.k, (self.k - m) % self.k)
 
-    def sort_key(self, g: tuple[int, int]) -> tuple[int, int]:
-        m, n = g
-        return (n, m)
-
-    def index(self, g: tuple[int, int]) -> int:
-        """Legacy 1-based single-index label: i = k*n + m + 1."""
-        m, n = g
-        return self.k * n + m + 1
-
-    def key_of_index(self, i: int) -> tuple[int, int]:
-        if not 1 <= i <= self.k * self.k:
-            raise DomainError(f"legacy index {i} outside 1..{self.k * self.k}")
-        return ((i - 1) % self.k, (i - 1) // self.k)
-
     def label(self, g: tuple[int, int]) -> str:
         return f"g({g[0]},{g[1]})"
 
@@ -316,11 +316,16 @@ class DerivedCyclicGroup(NaryGroup):
         self.arity = arity
         self.name = f"derived[{arity}](C{k})"
 
-    def elements(self) -> list[int]:
-        return list(range(self.k))
-
     def size(self) -> int:
         return self.k
+
+    def position(self, g: int) -> int:
+        return g
+
+    def key(self, i: int) -> int:
+        if not 0 <= i < self.k:
+            raise DomainError(f"no key at position {i} in {self.name}")
+        return i
 
     def contains(self, g) -> bool:
         return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < self.k
@@ -328,20 +333,6 @@ class DerivedCyclicGroup(NaryGroup):
     def mul(self, word: Sequence[int]) -> int:
         self._check_arity(word)
         return sum(word) % self.k
-
-    def sort_key(self, g: int) -> int:
-        return g
-
-    def index(self, g: int) -> int:
-        return g + 1
-
-    def key_of_index(self, i: int) -> int:
-        if not 1 <= i <= self.k:
-            raise DomainError(f"legacy index {i} outside 1..{self.k}")
-        return i - 1
-
-    def label(self, g: int) -> str:
-        return f"g{g + 1}"
 
     def cover(self) -> CyclicCover:
         return CyclicCover(self.k)

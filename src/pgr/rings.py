@@ -240,18 +240,6 @@ class JRootRing(PolyadicRing):
             return [k for k in range(self.modulus) if self.quer(k) is not None]
         return [k for k in (-1, 1) if self.quer(k) is not None]
 
-    # would-be binary product, for nonderivedness evidence -----------------
-
-    def binary_product(self, a: int, b: int):
-        """Ambient product of just two scalars: j_q**2 * (a*b), which for
-        q >= 2 is no longer a j_q-multiple unless the coefficient dies."""
-        return ("jsq", self.normalize(a * b) if self.modulus else a * b)
-
-    def binary_product_in_carrier(self, p) -> bool:
-        if self.q == 1:
-            return True  # plain integers are closed under binary products
-        return p[1] == 0
-
 
 class OddJRootSemigroup(PolyadicRing):
     """Odd-coefficient multiplicative subfamily of a j-root ring.

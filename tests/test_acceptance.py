@@ -97,9 +97,10 @@ def test_criterion_1_worked_pipeline(ctx, worked):
                 print(
                     f"  reconciliation: term {i + 1} "
                     f"(coefficient {ctx.ring.format_scalar(coeff)}): computed "
-                    f"key {ctx.group.label(got)} [g{ctx.group.index(got)}], "
-                    f"recorded worked value {ctx.group.label(recorded)} "
-                    f"[g{ctx.group.index(recorded)}]"
+                    f"key {ctx.group.label(got)} "
+                    f"[g{ctx.group.position(got) + 1}], recorded worked value "
+                    f"{ctx.group.label(recorded)} "
+                    f"[g{ctx.group.position(recorded) + 1}]"
                 )
         assert mismatches == [3]
         assert terms[3] == (-140, (1, 2))  # computed g8 where g9 was recorded

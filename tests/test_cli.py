@@ -83,6 +83,24 @@ class TestCommands:
         assert status == 0
         assert out == "NotFound\n"
 
+    def test_quer_system_over_budget_is_2(self, capsys):
+        # 3 * 625**2 = 1171875 system cells on adiag(C25), over 10**6
+        status, out, err = run(
+            capsys, ["quer", "--k", "25", "1j*g(0,0) + 1j*g(1,1)"]
+        )
+        assert (status, out) == (2, "")
+        assert "1171875 cells" in err
+
+    def test_quer_monomial_closed_form_has_no_budget(self, capsys):
+        status, out, _ = run(capsys, ["quer", "--k", "25", "1j*g(0,0)"])
+        assert (status, out) == (0, "-1j*g(0,0)\n")
+
+    def test_eval_on_a_large_group_lists_no_keys(self, capsys):
+        status, out, _ = run(capsys, ["eval", "--k", "100000", "1j*g(5,7)"])
+        assert (status, out) == (0, "1j*g(5,7)\n")
+        status, out, _ = run(capsys, ["eval", "--k", "100000", "1j*g700006"])
+        assert (status, out) == (0, "1j*g(5,7)\n")
+
     def test_identities(self, capsys):
         status, out, _ = run(capsys, ["identities"])
         assert status == 0

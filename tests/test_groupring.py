@@ -511,6 +511,19 @@ class TestEnumeration:
         with pytest.raises(InfiniteUniverse):
             ctx1.elements()
 
+    def test_budget_is_exact_and_checked_before_listing_keys(self):
+        ctx = make_group_ring(JRootRing(2, 2), AdiagGroup(2))
+        assert len(ctx.elements(budget=16)) == 16
+        with pytest.raises(BudgetExceeded, match=r"2\*\*4 elements"):
+            ctx.elements(budget=15)
+        # 5**6400 has more digits than an int prints by default
+        wide = make_group_ring(JRootRing(2, 5), AdiagGroup(80))
+        with pytest.raises(BudgetExceeded, match=r"5\*\*6400 elements"):
+            wide.elements()
+        huge = make_group_ring(JRootRing(2, 3), AdiagGroup(10**6))
+        with pytest.raises(BudgetExceeded, match=rf"3\*\*{10**12} elements"):
+            huge.elements()
+
     def test_mismatching_profile_not_constructible(self, jz):
         # ternary ring multiplication against a binary derived group at
         # unit powers: 1*(3-1) != 1*(2-1)

@@ -5,7 +5,18 @@ from itertools import product
 import pytest
 
 import matrix_oracle as oracle
-from pgr import AdiagGroup, ArityMismatch, DerivedCyclicGroup, DomainError, NaryGroup
+from pgr import (
+    AdiagGroup,
+    ArityMismatch,
+    DerivedCyclicGroup,
+    DomainError,
+    JRootRing,
+    KeyRangeError,
+    NaryGroup,
+    cli,
+    make_group_ring,
+)
+from pgr.dsl import parse_basis_label
 
 
 class TestAdiagProduct:
@@ -22,7 +33,7 @@ class TestAdiagProduct:
         got = adiag3.mul(((1, 1), (1, 2), (1, 0)))
         assert got == (1, 2)
         assert oracle.product_key(3, (1, 1), (1, 2), (1, 0)) == (1, 2)
-        assert adiag3.index(got) == 8
+        assert adiag3.position(got) + 1 == 8
 
     def test_arity_mismatch(self, adiag3):
         with pytest.raises(ArityMismatch):
@@ -168,9 +179,48 @@ class TestEnumeration:
 
     def test_legacy_index_order(self, adiag3):
         elems = adiag3.elements()
-        assert [adiag3.index(g) for g in elems] == list(range(1, 10))
+        assert [adiag3.position(g) + 1 for g in elems] == list(range(1, 10))
         assert elems[4] == (1, 1)  # g5
-        assert adiag3.key_of_index(8) == (1, 2)
+        assert adiag3.key(8 - 1) == (1, 2)
+        # position and key are inverse bijections with 0..size()-1, in
+        # elements() order, and g<position + 1> parses back to the key
+        for group in (
+            AdiagGroup(2), adiag3, AdiagGroup(5), DerivedCyclicGroup(1, 3),
+            DerivedCyclicGroup(4, 3), DerivedCyclicGroup(7, 5),
+        ):
+            ctx = make_group_ring(JRootRing(group.arity - 1), group)
+            elems = group.elements()
+            assert len(elems) == group.size()
+            for i in range(group.size()):
+                assert group.position(group.key(i)) == i
+                assert elems[i] == group.key(i)
+            for g in elems:
+                assert parse_basis_label(ctx, f"g{group.position(g) + 1}") == g
+            for i in (-1, group.size()):
+                with pytest.raises(DomainError):
+                    group.key(i)
+            with pytest.raises(KeyRangeError):
+                parse_basis_label(ctx, f"g{group.size() + 1}")
+            flags = (
+                ["--k", str(group.k)] if isinstance(group, AdiagGroup) else
+                ["--group", "derived", "--base", f"cyclic:{group.k}",
+                 "--arity", str(group.arity), "--q", str(group.arity - 1)]
+            )
+            label = f"1{ctx.ring.symbol}*g{group.size() + 1}"
+            assert cli.main(["eval", *flags, label]) == 1  # KeyRangeError
+
+    def test_large_k_is_arithmetic(self):
+        k = 10**6
+        group = AdiagGroup(k)
+        assert group.size() == 10**12
+        assert group.key(0) == (0, 0)
+        assert group.key(k - 1) == (k - 1, 0)
+        assert group.key(k) == (0, 1)
+        assert group.key(k * k - 1) == (k - 1, k - 1)
+        assert group.position((k - 1, k - 1)) == k * k - 1
+        assert group.label(group.key(k * k - 1)) == f"g({k - 1},{k - 1})"
+        with pytest.raises(DomainError):
+            group.key(k * k)
 
     def test_labels(self, adiag3):
         assert adiag3.label((1, 2)) == "g(1,2)"

@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from jroot_evidence import binary_product, binary_product_in_carrier
 from pgr import (
     ADJOINED_ZERO,
     ArityMismatch,
@@ -219,9 +220,9 @@ class TestLaws:
     def test_binary_products_leave_the_carrier(self, jz):
         # the ambient product of two j-multiples is real: nonderived family
         for a, b in product([-3, -1, 1, 2, 5], repeat=2):
-            assert not jz.binary_product_in_carrier(jz.binary_product(a, b))
-        assert JRootRing(1).binary_product_in_carrier(
-            JRootRing(1).binary_product(3, 4)
+            assert not binary_product_in_carrier(jz, binary_product(jz, a, b))
+        assert binary_product_in_carrier(
+            JRootRing(1), binary_product(JRootRing(1), 3, 4)
         )
 
     def test_even_subring_smoke(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import controls
+from jroot_evidence import binary_product, binary_product_in_carrier
 from pgr import (
     AdiagGroup,
     BudgetExceeded,
@@ -333,8 +335,8 @@ class TestClosureNonderived:
     def test_jroot_scalars(self, jz):
         probe = [k for k in range(-5, 6) if k != 0]
         report = check_closure_nonderived(
-            jz.binary_product, probe, jz.binary_product_in_carrier,
-            structure=jz.name,
+            partial(binary_product, jz), probe,
+            partial(binary_product_in_carrier, jz), structure=jz.name,
         )
         assert report.holds
 
