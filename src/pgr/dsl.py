@@ -14,20 +14,31 @@ is the key at position i - 1 (group.key), so i = k*n + m + 1 for the
 antidiagonal family and the published worked elements can be typed
 verbatim.
 
-parse_to_element reads each term straight into a (group key,
-coefficient) pair and hands the pairs to GroupRing.element, which
+parse_to_element scans the text with no token list and no syntax tree:
+one match of a compiled term pattern (one per ring symbol) reads a whole
+term, with the "+" or the end after it, straight into a (group key,
+coefficient) pair, and the pairs go to GroupRing.element, which
 normalizes coefficients and gathers repeated keys; the lone literal 0 is
-the context's zero.  No syntax tree sits between the text and the
-element.
+the context's zero.  parse_basis_label matches the same basis piece.
+
+Only text that does not scan is looked at token by token: a diagnosis
+walks the failed term's pieces and raises a ParseError (or its subclass
+KeyRangeError) with a message, an offset and the expected tokens.  Its
+precedence: a character no token can hold (outside ASCII letters and
+digits, whitespace and "()*,+-") is reported first, wherever it is;
+otherwise the first failure from the left, where an integer past the
+digit limit or a key outside the group is reported where it is read,
+before any later syntax error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import ConfigError, DomainError, KeyRangeError, ParseError
 from .groupring import GroupRing, GroupRingElement, make_group_ring
@@ -36,9 +47,87 @@ from .rings import JRootRing
 
 ENV_CONFIG = "PGR_CONFIG"
 
+# One optionally signed ASCII integer, then a basis label, g<index> or
+# g(<m>,<n>).  No piece needs a guard against a longer identifier: what
+# may follow a symbol or an index is whitespace, "*", "+" or the end.
+_SIGNED = r"\s*([+-]?)\s*([0-9]+)"
+_BASIS = rf"\s*g(?:([0-9]+)|\s*\({_SIGNED}\s*,{_SIGNED}\s*\))"
+_LABEL_RE = re.compile(rf"{_BASIS}\s*\Z")
+_ZERO_RE = re.compile(r"\s*0\s*")
+# the token after any whitespace, for the diagnosis; no kind at the end
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[()*,+-])"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[()*,+-]))?"
 )
+_FOREIGN_RE = re.compile(r"[^\s0-9A-Za-z()*,+-]")
+_BASIS_FORMS = ("g(<m>,<n>)", "g<index>")
+
+
+@functools.cache
+def _term_re(symbol: str) -> re.Pattern:
+    """One term and what follows it: a "+" (group 8) or the end."""
+    return re.compile(
+        rf"{_SIGNED}\s*{re.escape(symbol)}\s*\*{_BASIS}\s*(?:(\+)|\Z)"
+    )
+
+
+def _key(group, index, msign, m, nsign, n):
+    """The key a scanned basis label names.  ValueError (an integer past
+    the digit limit) or DomainError (no such key) sends the text to the
+    diagnosis, which raises the error."""
+    if index is not None:
+        return group.key(int(index) - 1)
+    key = (-int(m) if msign == "-" else int(m), -int(n) if nsign == "-" else int(n))
+    if isinstance(group, AdiagGroup) and group.contains(key):
+        return key
+    raise DomainError(f"no key {key} in {group.name}")
+
+
+def _terms(ctx: GroupRing, text: str) -> list:
+    """The (group key, coefficient) pairs of text, one match per term."""
+    term = _term_re(ctx.ring.symbol)
+    group = ctx.group
+    pairs = []
+    pos = 0
+    while True:
+        match = term.match(text, pos)
+        if match is None:
+            _diagnose_term(ctx, text, pos)
+        sign, digits, index, msign, m, nsign, n, more = match.groups()
+        try:
+            key = _key(group, index, msign, m, nsign, n)
+            coefficient = int(digits)
+        except (ValueError, DomainError):
+            _diagnose_term(ctx, text, pos)
+        pairs.append((key, -coefficient if sign == "-" else coefficient))
+        if more is None:
+            return pairs
+        pos = match.end()
+
+
+def parse_to_element(ctx: GroupRing, text: str) -> GroupRingElement:
+    """Parse an element expression against the active context's grammar
+    and build the element."""
+    if _ZERO_RE.fullmatch(text):
+        return ctx.zero()
+    return ctx.element(_terms(ctx, text))
+
+
+def parse_basis_label(ctx: GroupRing, text: str):
+    """Parse a single basis label such as g(1,1) or g5."""
+    match = _LABEL_RE.match(text)
+    if match is not None:
+        try:
+            return _key(ctx.group, *match.groups())
+        except (ValueError, DomainError):
+            pass
+    _check_characters(text)
+    _, end = _walk_basis(ctx.group, text, 0)
+    _, tok, offset, _ = _token(text, end)
+    raise ParseError(f"unexpected {tok!r}", offset, ("end of input",))
+
+
+# diagnosis: the error for text that did not scan, found by walking the
+# failed term's pieces one token at a time -----------------------------------
 
 
 def _decimal(digits: str, offset: int) -> int:
@@ -54,155 +143,98 @@ def _decimal(digits: str, offset: int) -> int:
         ) from None
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "ident" | "punct" | "eof"
-    text: str
-    offset: int
+def _check_characters(text: str) -> None:
+    """A character no token can hold is reported first, wherever it is."""
+    foreign = _FOREIGN_RE.search(text)
+    if foreign is not None:
+        pos = foreign.start()
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
+def _token(text: str, pos: int) -> tuple:
+    """(kind, text, offset, end) of the token after pos: kind is "int",
+    "ident" or "punct", or None, with text "", at the end of the input."""
+    match = _TOKEN_RE.match(text, pos)
+    kind = match.lastgroup
+    if kind is None:
+        return None, "", match.end(), match.end()
+    return kind, match.group(kind), match.start(kind), match.end()
 
 
-class _Parser:
-    def __init__(self, ctx: GroupRing, text: str):
-        self.ctx = ctx
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _expect(text: str, pos: int, char: str) -> int:
+    _, tok, offset, end = _token(text, pos)
+    if tok != char:
+        raise ParseError(f"unexpected {tok or 'end of input'!r}", offset, (char,))
+    return end
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_punct(self, char: str) -> Token:
-        tok = self.take()
-        if tok.kind != "punct" or tok.text != char:
-            raise ParseError(
-                f"unexpected {tok.text or 'end of input'!r}", tok.offset, (char,)
-            )
-        return tok
-
-    def parse_int(self, what: str) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in "+-":
-            self.take()
-            sign = -1 if tok.text == "-" else 1
-        tok = self.take()
-        if tok.kind != "int":
-            raise ParseError(
-                f"expected {what}, found {tok.text or 'end of input'!r}",
-                tok.offset,
-                ("integer",),
-            )
-        return sign * _decimal(tok.text, tok.offset)
-
-    def parse_basis(self):
-        tok = self.take()
-        group = self.ctx.group
-        if tok.kind != "ident" or not tok.text.startswith("g"):
-            raise ParseError(
-                f"expected a basis element, found {tok.text or 'end of input'!r}",
-                tok.offset,
-                ("g(<m>,<n>)", "g<index>"),
-            )
-        if tok.text == "g":
-            # exponent-pair form, only meaningful for the antidiagonal family
-            if not isinstance(group, AdiagGroup):
-                raise ParseError(
-                    f"{group.name} keys use the g<index> form", tok.offset,
-                    ("g<index>",),
-                )
-            self.expect_punct("(")
-            m = self.parse_int("first exponent")
-            self.expect_punct(",")
-            n = self.parse_int("second exponent")
-            self.expect_punct(")")
-            if not group.contains((m, n)):
-                raise KeyRangeError(
-                    f"g({m},{n}) outside Z_{group.k} x Z_{group.k}", tok.offset
-                )
-            return (m, n)
-        if re.fullmatch(r"g[0-9]+", tok.text):
-            index = _decimal(tok.text[1:], tok.offset)
-            try:
-                return group.key(index - 1)
-            except DomainError as exc:
-                raise KeyRangeError(
-                    f"legacy index {index} outside 1..{group.size()}", tok.offset
-                ) from exc
+def _walk_int(text: str, pos: int, what: str) -> tuple[int, int]:
+    kind, tok, offset, end = _token(text, pos)
+    sign = 1
+    if tok in ("+", "-"):
+        sign = -1 if tok == "-" else 1
+        kind, tok, offset, end = _token(text, end)
+    if kind != "int":
         raise ParseError(
-            f"malformed basis {tok.text!r}", tok.offset, ("g(<m>,<n>)", "g<index>")
+            f"expected {what}, found {tok or 'end of input'!r}", offset, ("integer",)
         )
+    return sign * _decimal(tok, offset), end
 
-    def parse_term(self) -> tuple:
-        """One term as a (group key, coefficient) pair."""
-        coefficient = self.parse_int("a coefficient")
-        symbol = self.ctx.ring.symbol
-        if symbol:
-            sym = self.take()
-            if sym.kind != "ident" or sym.text != symbol:
-                raise ParseError(
-                    f"expected ring symbol {symbol!r}, found "
-                    f"{sym.text or 'end of input'!r}",
-                    sym.offset,
-                    (symbol,),
-                )
-        self.expect_punct("*")
-        return self.parse_basis(), coefficient
 
-    def parse_element(self) -> GroupRingElement:
-        first = self.peek()
-        if (
-            first.kind == "int"
-            and first.text == "0"
-            and self.tokens[self.pos + 1].kind == "eof"
-        ):
-            return self.ctx.zero()
-        pairs = [self.parse_term()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "punct" and tok.text == "+":
-                self.take()
-                pairs.append(self.parse_term())
-                continue
+def _walk_basis(group, text: str, pos: int) -> tuple:
+    kind, tok, offset, end = _token(text, pos)
+    if kind != "ident" or not tok.startswith("g"):
+        raise ParseError(
+            f"expected a basis element, found {tok or 'end of input'!r}",
+            offset,
+            _BASIS_FORMS,
+        )
+    if tok == "g":
+        # exponent-pair form, only meaningful for the antidiagonal family
+        if not isinstance(group, AdiagGroup):
             raise ParseError(
-                f"unexpected {tok.text!r}", tok.offset, ("+", "end of input")
+                f"{group.name} keys use the g<index> form", offset, ("g<index>",)
             )
-        return self.ctx.element(pairs)
+        end = _expect(text, end, "(")
+        m, end = _walk_int(text, end, "first exponent")
+        end = _expect(text, end, ",")
+        n, end = _walk_int(text, end, "second exponent")
+        end = _expect(text, end, ")")
+        if not group.contains((m, n)):
+            raise KeyRangeError(
+                f"g({m},{n}) outside Z_{group.k} x Z_{group.k}", offset
+            )
+        return (m, n), end
+    if re.fullmatch(r"g[0-9]+", tok):
+        index = _decimal(tok[1:], offset)
+        try:
+            return group.key(index - 1), end
+        except DomainError as exc:
+            raise KeyRangeError(
+                f"legacy index {index} outside 1..{group.size()}", offset
+            ) from exc
+    raise ParseError(f"malformed basis {tok!r}", offset, _BASIS_FORMS)
 
 
-def parse_to_element(ctx: GroupRing, text: str) -> GroupRingElement:
-    """Parse an element expression against the active context's grammar
-    and build the element."""
-    return _Parser(ctx, text).parse_element()
-
-
-def parse_basis_label(ctx: GroupRing, text: str):
-    """Parse a single basis label such as g(1,1) or g5."""
-    parser = _Parser(ctx, text)
-    key = parser.parse_basis()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.text!r}", tok.offset, ("end of input",))
-    return key
+def _diagnose_term(ctx: GroupRing, text: str, pos: int) -> NoReturn:
+    """Raise the error for the term at pos, which did not scan: walk its
+    pieces (signed coefficient, ring symbol, "*", basis, then "+" or the
+    end) and report the first that fails."""
+    _check_characters(text)
+    _, end = _walk_int(text, pos, "a coefficient")
+    symbol = ctx.ring.symbol
+    if symbol:
+        _, tok, offset, end = _token(text, end)
+        if tok != symbol:
+            raise ParseError(
+                f"expected ring symbol {symbol!r}, found {tok or 'end of input'!r}",
+                offset,
+                (symbol,),
+            )
+    end = _expect(text, end, "*")
+    _, end = _walk_basis(ctx.group, text, end)
+    _, tok, offset, _ = _token(text, end)
+    raise ParseError(f"unexpected {tok!r}", offset, ("+", "end of input"))
 
 
 # configuration ---------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import product
+from math import gcd
 
 from .arity import is_integer, polyadic_power
 from .errors import ArityMismatch, DomainError
@@ -296,6 +297,11 @@ class AdiagGroup(NaryGroup):
         m, n = g
         return ((self.k - n) % self.k, (self.k - m) % self.k)
 
+    def identities(self) -> list[tuple[int, int]]:
+        # closed form: mul(x, e, e) = mul(e, e, x) = x + (m + n, m + n),
+        # so e = (m, n) is an identity exactly when m + n = 0 (mod k)
+        return [(-n % self.k, n) for n in range(self.k)]
+
     def label(self, g: tuple[int, int]) -> str:
         return f"g({g[0]},{g[1]})"
 
@@ -333,6 +339,11 @@ class DerivedCyclicGroup(NaryGroup):
     def mul(self, word: Sequence[int]) -> int:
         self._check_arity(word)
         return sum(word) % self.k
+
+    def identities(self) -> list[int]:
+        # closed form: mul(x, e, ..., e) = x + (arity - 1) e, so the
+        # identities are the multiples of k / gcd(arity - 1, k)
+        return list(range(0, self.k, self.k // gcd(self.arity - 1, self.k)))
 
     def cover(self) -> CyclicCover:
         return CyclicCover(self.k)

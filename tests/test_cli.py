@@ -3,10 +3,11 @@ from __future__ import annotations
 import io
 import json
 import sys
+import time
 
 import pytest
 
-from pgr import cli
+from pgr import KeyRangeError, ParseError, cli
 from pgr.cli import main
 
 WORKED_ARGS = [
@@ -106,6 +107,15 @@ class TestCommands:
         assert status == 0
         assert out == "g(0,0)\ng(2,1)\ng(1,2)\n"
 
+    def test_identities_of_a_large_group(self, capsys):
+        start = time.perf_counter()
+        status, out, _ = run(capsys, ["identities", "--k", "1000"])
+        assert time.perf_counter() - start < 5
+        assert status == 0
+        labels = out.splitlines()
+        assert len(labels) == 1000
+        assert labels[:2] == ["g(0,0)", "g(999,1)"]
+
     def test_arity(self, capsys):
         status, out, _ = run(capsys, ["arity", "--q", "4", "--ell-g", "2"])
         assert status == 0
@@ -125,6 +135,47 @@ class TestCommands:
         # spaces inside a label, quoted as one argument or split by a shell
         assert pair == run(capsys, ["table", "g(1, 1) g(0, 0)"])
         assert pair == run(capsys, ["table", "g(1,", "1)", "g( 0 ,0 )"])
+
+    def test_table_pair_labels(self, capsys):
+        status, out, _ = run(capsys, ["table", "g(0,1) g(2, 2)"])
+        assert status == 0
+        assert out == (
+            "g(0,1) g(0,1) g(0,1) -> g(1,2)\n"
+            "g(0,1) g(0,1) g(2,2) -> g(0,0)\n"
+            "g(0,1) g(2,2) g(0,1) -> g(2,1)\n"
+            "g(0,1) g(2,2) g(2,2) -> g(1,2)\n"
+            "g(2,2) g(0,1) g(0,1) -> g(0,0)\n"
+            "g(2,2) g(0,1) g(2,2) -> g(2,1)\n"
+            "g(2,2) g(2,2) g(0,1) -> g(1,2)\n"
+            "g(2,2) g(2,2) g(2,2) -> g(0,0)\n"
+        )
+
+    def test_table_mixed_labels_with_inner_spaces(self, capsys):
+        status, out, _ = run(capsys, ["table", "g( 1 ,0 ) g5"])
+        assert status == 0
+        assert out == (
+            "g(1,0) g(1,0) g(1,0) -> g(2,1)\n"
+            "g(1,0) g(1,0) g(1,1) -> g(2,2)\n"
+            "g(1,0) g(1,1) g(1,0) -> g(0,1)\n"
+            "g(1,0) g(1,1) g(1,1) -> g(0,2)\n"
+            "g(1,1) g(1,0) g(1,0) -> g(2,2)\n"
+            "g(1,1) g(1,0) g(1,1) -> g(2,0)\n"
+            "g(1,1) g(1,1) g(1,0) -> g(0,2)\n"
+            "g(1,1) g(1,1) g(1,1) -> g(0,0)\n"
+        )
+
+    def test_table_label_errors(self, capsys):
+        ctx = cli.load_config(None, {})
+        with pytest.raises(KeyRangeError) as err:
+            cli.run_command(ctx, "table", "g(3,0)")
+        assert (str(err.value), err.value.offset) == (
+            "g(3,0) outside Z_3 x Z_3 at offset 0", 0
+        )
+        with pytest.raises(ParseError) as err:
+            cli.run_command(ctx, "table", "g(0,1)g5")
+        assert type(err.value) is ParseError
+        assert (err.value.offset, err.value.expected) == (6, ("end of input",))
+        assert run(capsys, ["table", "g(0,1)g5"])[0] == 1
 
     def test_table_full_for_small_group(self, capsys):
         status, out, _ = run(

@@ -5,12 +5,14 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+import token_parser
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgr import (
     AdiagGroup,
     ConfigError,
+    PgrError,
     DerivedCyclicGroup,
     JRootRing,
     KeyRangeError,
@@ -183,6 +185,166 @@ class TestBasisLabels:
         with pytest.raises(ParseError):
             parse_basis_label(ctx1, "g8 x")
 
+
+
+# differential: the scanner against the token parser it replaced ------------
+
+DIFF_CONTEXTS = [
+    make_group_ring(JRootRing(1), DerivedCyclicGroup(3, 2)),
+    make_group_ring(JRootRing(2), AdiagGroup(3)),
+    make_group_ring(JRootRing(4), AdiagGroup(3), ell_g=2),
+    make_group_ring(JRootRing(2, 5), AdiagGroup(3)),
+    make_group_ring(JRootRing(2), AdiagGroup(12)),
+    make_group_ring(JRootRing(2), DerivedCyclicGroup(4, 3)),
+]
+SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+SIGN = st.sampled_from(["", "", "", "+", "-"])
+# the grammar's characters, plus an identifier letter, a non-ASCII digit
+# and a tab
+ALPHABET = st.sampled_from(list("0123456789()*,+- gjx٣\t"))
+EDGE_TEXTS = [
+    "", " ", "0", " 0\t", "00", "0 0", "-0", "+0", "0+", "0j*g1", "\n0\n",
+    "+", "1", "1j", "1j*", "1j*g", "1j*g(", "1j*g(1", "1j*g(1,", "1j*g(1,1",
+    "1j*g1 +", "1j*g1 ++2j*g2", "1j*g1+-2j*g2", "1j*g1 2", "1j*g1)",
+    "1j*g5x", "1j*g5 x", "1jg5", "1j4*g5", "1j*g 5", "1j*g (1,1)", "1j*g1(",
+    "1٣j*g1", "1j*g٣", "1j*g(٣,1)", "٣", "1j*g1 ٣", "x", "1x*g1", "1*g1",
+    "1j*j", "1j*gg", "1j*G1", "- -1j*g1", "--1j*g1", "1j*g(+1,-0)",
+    "1j*g(1,1)(", "1j*g(1 1)", "1j*g(1,,1)", "1j*g0", "1j*g00",
+    "1j*g1\n+\n2j*g2", "1\tj\t*\tg\t(\t1\t,\t1\t)", "1j*g(1,1) + 1j*g(3,0) x",
+    "1j*g(3,0) + 1j*g1 ٣",
+]
+
+
+@st.composite
+def numerals(draw, values):
+    """A numeral for one of values, sometimes with leading zeros."""
+    return "0" * draw(st.sampled_from([0, 0, 0, 1, 2])) + str(draw(values))
+
+
+@st.composite
+def labels(draw, group):
+    """A basis label, nearly always naming a key of group."""
+    ws = lambda: draw(SPACE)  # noqa: E731
+    size = group.size()
+    pair = isinstance(group, AdiagGroup) and draw(st.booleans())
+    inside = draw(st.integers(0, 9)) > 0
+    if not pair and draw(st.integers(0, 19)):
+        index = st.integers(1, size) if inside else st.sampled_from([0, size + 1])
+        return f"g{draw(numerals(index))}"
+    k = getattr(group, "k", 2)
+    exponent = st.integers(0, k - 1) if inside else st.integers(k, k + 2)
+    return (
+        f"g{ws()}({ws()}{draw(SIGN)}{ws()}{draw(numerals(exponent))}{ws()},"
+        f"{ws()}{draw(SIGN)}{ws()}{draw(numerals(exponent))}{ws()})"
+    )
+
+
+@st.composite
+def element_texts(draw, ctx):
+    """The text of an element of ctx, in either label form, with random
+    whitespace, signs and leading zeros, or the lone 0."""
+    ws = lambda: draw(SPACE)  # noqa: E731
+    if draw(st.integers(0, 9)) == 0:
+        return f"{ws()}0{ws()}"
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms.append(
+            f"{ws()}{draw(SIGN)}{ws()}{draw(numerals(st.integers(0, 999)))}"
+            f"{ws()}{ctx.ring.symbol}{ws()}*{ws()}{draw(labels(ctx.group))}{ws()}"
+        )
+    return "+".join(terms)
+
+
+@st.composite
+def mutated(draw, ctx):
+    """An element's text with a few characters cut or put in at one place."""
+    text = draw(element_texts(ctx))
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 1))
+    return text[:at] + draw(st.text(ALPHABET, min_size=1, max_size=2)) + text[at + cut:]
+
+
+def outcome(parse, ctx, text):
+    """The element parse builds, or the error it raises as (type, str,
+    offset, expected)."""
+    try:
+        return parse(ctx, text)
+    except PgrError as exc:
+        return (
+            type(exc), str(exc), getattr(exc, "offset", None),
+            getattr(exc, "expected", None),
+        )
+
+
+def assert_same(ctx, text):
+    assert outcome(parse_to_element, ctx, text) == outcome(
+        token_parser.parse_to_element, ctx, text
+    ), text
+
+
+def assert_same_label(ctx, text):
+    assert outcome(parse_basis_label, ctx, text) == outcome(
+        token_parser.parse_basis_label, ctx, text
+    ), text
+
+
+class TestDifferential:
+    """Every input gives the token parser's element, or its exact error:
+    the same class, message, offset and expected tuple."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_valid_elements(self, data):
+        ctx = data.draw(st.sampled_from(DIFF_CONTEXTS))
+        assert_same(ctx, data.draw(element_texts(ctx)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_elements(self, data):
+        ctx = data.draw(st.sampled_from(DIFF_CONTEXTS))
+        assert_same(ctx, data.draw(mutated(ctx)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(DIFF_CONTEXTS), st.text(ALPHABET, max_size=24))
+    def test_arbitrary_strings(self, ctx, text):
+        assert_same(ctx, text)
+
+    @pytest.mark.parametrize("ctx", DIFF_CONTEXTS, ids=lambda c: c.name)
+    def test_edge_texts(self, ctx):
+        for text in EDGE_TEXTS:
+            assert_same(ctx, text)
+            assert_same(ctx, text.replace("j", ctx.ring.symbol))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), SPACE, st.text(ALPHABET, max_size=2))
+    def test_basis_labels(self, data, ws, tail):
+        ctx = data.draw(st.sampled_from(DIFF_CONTEXTS))
+        label = data.draw(
+            st.one_of(labels(ctx.group), st.text(ALPHABET, max_size=12))
+        )
+        for text in (label, f"{ws}{label}{ws}", label + tail):
+            assert_same_label(ctx, text)
+
+    @pytest.mark.parametrize("ctx", DIFF_CONTEXTS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    def test_digit_limit(self, ctx, digits):
+        big = "7" * digits
+        j = ctx.ring.symbol
+        for text in (
+            f"{big}{j}*g1", f"-{big}{j}*g1 + 1{j}*g2", f"1{j}*g{big}",
+            f"1{j}*g({big},0)", f"1{j}*g(0, -{big})", f"1{j}*g1 + 1{j}*g{big}x",
+            f"{big}{j}*g1 ٣", f"1{j}*g{big} + ", f"{big}x*g1",
+        ):
+            assert_same(ctx, text)
+        for text in (f"g{big}", f"g({big},1)", f"g(1,{big}) x", f"g{big}٣"):
+            assert_same_label(ctx, text)
+
+    @pytest.mark.parametrize("ctx", DIFF_CONTEXTS, ids=lambda c: c.name)
+    def test_long_expression(self, ctx):
+        j = ctx.ring.symbol
+        text = " + ".join(f"{i}{j}*g{i % 3 + 1}" for i in range(2000))
+        assert_same(ctx, text)
+        assert_same(ctx, text + " +")
 
 EXAMPLE1 = {
     "ring": {"kind": "jroot", "q": 2},

@@ -132,6 +132,12 @@ class TestIdentities:
         group = DerivedCyclicGroup(3, 3)
         assert group.identities() == [0]
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_closed_forms_equal_the_search(self, k):
+        groups = [AdiagGroup(k)] + [DerivedCyclicGroup(k, n) for n in range(2, 6)]
+        for group in groups:
+            assert group.identities() == NaryGroup.identities(group)
+
 
 class TestNeutralPolyads:
     def test_adiag3_pairs_each_element_with_its_quer(self, adiag3):
