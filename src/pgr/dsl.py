@@ -169,6 +169,7 @@ def _expect(text: str, pos: int, char: str) -> int:
 
 
 def _walk_int(text: str, pos: int, what: str) -> tuple[int, int]:
+    """An optionally signed integer at pos: (value, end)."""
     kind, tok, offset, end = _token(text, pos)
     sign = 1
     if tok in ("+", "-"):
@@ -182,6 +183,7 @@ def _walk_int(text: str, pos: int, what: str) -> tuple[int, int]:
 
 
 def _walk_basis(group, text: str, pos: int) -> tuple:
+    """A basis label at pos: (key, end)."""
     kind, tok, offset, end = _token(text, pos)
     if kind != "ident" or not tok.startswith("g"):
         raise ParseError(

@@ -103,7 +103,8 @@ class NaryGroup:
         Neutrality is demanded with the e-run kept in one block (probe
         first or last); interior probe positions transpose the exponents in
         the noncommutative antidiagonal family and would reject every
-        candidate there.
+        candidate there.  Generic exhaustive search; both families
+        override it with a closed form.
         """
         keys = self.elements()
         out = []

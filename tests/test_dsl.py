@@ -211,7 +211,7 @@ EDGE_TEXTS = [
     "1j*j", "1j*gg", "1j*G1", "- -1j*g1", "--1j*g1", "1j*g(+1,-0)",
     "1j*g(1,1)(", "1j*g(1 1)", "1j*g(1,,1)", "1j*g0", "1j*g00",
     "1j*g1\n+\n2j*g2", "1\tj\t*\tg\t(\t1\t,\t1\t)", "1j*g(1,1) + 1j*g(3,0) x",
-    "1j*g(3,0) + 1j*g1 ٣",
+    "1j*g(3,0) + 1j*g1 ٣", "1j*g1\u00a0+\u20032j*g(0,\x1c1)", "1j*g1\u00a0x",
 ]
 
 
