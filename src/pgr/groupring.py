@@ -393,11 +393,13 @@ class GroupRing:
         x̄ solves one exact linear system (_quer_system): the product is
         linear in the querelement slot over the ring's coordinates (Z, or
         Z_N mod N), so there is one unknown coefficient per group element
-        and one equation per slot and group element (linsolve.solve).  The
-        system costs n products, one per slot, plus moves of their terms.
-        Where the system is underdetermined, free coordinates are set to
-        zero wherever that gives a solution, so the answer is
-        deterministic.
+        and one equation per group element and slot class of the group's
+        cover (linsolve.solve).  Slots of one class give the same
+        equations, so the system costs one product per class (2 for adiag,
+        1 for a derived group) plus moves of its terms.  Where the system
+        is underdetermined, free coordinates are set to zero wherever that
+        gives a solution, so the answer is deterministic.  _is_quer checks
+        every answer in all n slots.
         """
         modulus = self._coordinate_modulus("querelements")
         if self.profile.gr_mul_arity < 3:
@@ -427,11 +429,12 @@ class GroupRing:
 
     def _quer_system(self, x: GroupRingElement) -> tuple[list, list]:
         """The querelement system A y = b of x over the keys in
-        group.elements() order: column j of slot p's block of rows is the
-        product with 1*keys[j] in slot p and x in the other n - 1 slots,
-        and b is x's coordinates, once per slot.
+        group.elements() order, with one block of |G| rows per slot class
+        (_quer_moves): column j of a class's block is the product with
+        1*keys[j] in its representative slot p and x in the other n - 1
+        slots, and b is x's coordinates, once per class.
 
-        One product per slot is run, with 1*h0 (h0 = keys[0]) in the slot;
+        One product per class is run, with 1*h0 (h0 = keys[0]) in slot p;
         the block's other columns are its terms moved to other keys.  In
         the group's binary cover, a word with h in slot p is t times the
         same word with h0 there, for one translation t =
@@ -440,9 +443,18 @@ class GroupRing:
         Over a linear ring a term's coefficient does not depend on the key
         in the slot, so each column is a relabelling of the first.
 
-        The system and the moves hold n * |G|**2 cells; over
-        ENUMERATE_BUDGET, BudgetExceeded names the count before either is
-        built.
+        Merging the slots of a class is exact.  Writing each letter as a
+        kernel element times e(h0), a word's value is e(h0)**n times the
+        kernel product of its letters' parts, the part in slot p moved by
+        the same conjugation as cover.translation(p, ., h0).  The kernel
+        is abelian, so that product does not depend on the order of the
+        letters, and two slots whose translations agree for every h give
+        the same h0 product, the same moves and the same right-hand side:
+        a block per slot would only repeat the class's block.
+
+        The budget still counts the n-block system's n * |G|**2 cells, so
+        the same operands as before are refused: over ENUMERATE_BUDGET,
+        BudgetExceeded names the count before anything is built.
         """
         size = self.group.size()
         n = self.profile.gr_mul_arity
@@ -454,31 +466,39 @@ class GroupRing:
         keys = self.group.elements()
         rest = [x] * (n - 1)
         unit = self.element({keys[0]: 1})
-        a = [[0] * size for _ in range(n * size)]
-        for p, moves in enumerate(self._quer_moves()):
-            block = a[p * size : (p + 1) * size]
+        classes = self._quer_moves()
+        a = [[0] * size for _ in range(len(classes) * size)]
+        for i, (p, moves) in enumerate(classes):
+            block = a[i * size : (i + 1) * size]
             for g, c in self.mul([*rest[:p], unit, *rest[p:]]).terms:
                 for j, row in enumerate(moves[g]):
                     block[row][j] = c
         coords = x.as_dict()
-        return a, [coords.get(g, 0) for g in keys] * n
+        return a, [coords.get(g, 0) for g in keys] * len(classes)
 
-    def _quer_moves(self) -> list[dict]:
-        """moves[p][g][j]: the row that key g of the h0 product lands on in
-        column j of slot p's block, the row of g moved by
-        cover.translation(p, keys[j], h0).  Built once per context."""
+    def _quer_moves(self) -> list[tuple[int, dict]]:
+        """One (p, moves) pair per slot class, in order of p: the slots
+        whose translations cover.translation(slot, h, h0) agree for every
+        key h form a class, and p is its first slot.  moves[g][j] is the
+        row that key g of the h0 product lands on in column j of the
+        class's block, the row of g moved by cover.translation(p,
+        keys[j], h0).  Built once per context."""
         if self._moves is None:
             cover = self.group.cover()
             keys = self.group.elements()
             position = self.group.position
-            self._moves = []
+            classes: dict = {}  # translations -> first slot, in slot order
             for p in range(self.profile.gr_mul_arity):
-                ts = [cover.translation(p, h, keys[0]) for h in keys]
-                self._moves.append({
+                ts = tuple(cover.translation(p, h, keys[0]) for h in keys)
+                classes.setdefault(ts, p)
+            self._moves = [
+                (p, {
                     g: [position(cover.project(cover.mul(t, cover.embed(g))))
                         for t in ts]
                     for g in keys
                 })
+                for ts, p in classes.items()
+            ]
         return self._moves
 
     def _is_quer(self, cand: GroupRingElement, x: GroupRingElement) -> bool:

@@ -8,7 +8,8 @@ it enumerates the words exhaustively over a finite carrier (within a case
 budget) or samples them from a seeded generator, and returns a
 machine-readable report.  check_closure_nonderived is the one aggregate
 check: it asks whether every binary product stays inside the carrier (the
-nonderived target takes them from the group's binary cover).  A
+nonderived target takes them from the group's binary cover), and refuses
+a carrier of more than EXHAUSTIVE_BUDGET pairs before the first one.  A
 failing report always carries the offending word together with the two
 unequal evaluations, so it can be re-checked independently.
 
@@ -378,11 +379,17 @@ def check_closure_nonderived(
     """Evidence that the n-ary product is not an iterated binary one: the
     would-be binary products must leave the carrier.  Fails (with the
     witness pair) when every binary product stays inside, i.e. the
-    operation is derived."""
+    operation is derived.  Over EXHAUSTIVE_BUDGET pairs, BudgetExceeded
+    names the pair count before the first product."""
     universe = list(universe)
     if not universe:
         raise DomainError("nonderivedness needs a nonempty carrier")
     total = len(universe) ** 2
+    if total > EXHAUSTIVE_BUDGET:
+        raise BudgetExceeded(
+            f"{total} binary products exceed the exhaustive budget "
+            f"{EXHAUSTIVE_BUDGET}"
+        )
     stayed: tuple | None = None
     left = 0
     for x, y in product(universe, repeat=2):

@@ -255,6 +255,13 @@ class TestExitCodes:
         assert len(failed) == 1 and "axiom=nonderived-closure" in failed[0]
         assert "Traceback" not in err
 
+    def test_nonderived_over_budget_is_2_within_seconds(self, capsys):
+        start = time.perf_counter()
+        status, out, err = run(capsys, ["verify", "nonderived", "--k", "100"])
+        assert status == 2
+        assert "100000000" in err and out == ""
+        assert time.perf_counter() - start < 10  # 10**8 pairs took minutes
+
     def test_unknown_verify_target_is_2(self, capsys):
         status, _, _ = run(capsys, ["verify", "everything"])
         assert status == 2

@@ -29,6 +29,7 @@ from pgr import (
     adjoin_zero,
     make_group_ring,
 )
+from pgr.linsolve import solve
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -410,10 +411,66 @@ def oracle_quer_system(ctx: GroupRing, x):
     return a, [coords.get(g, 0) for g in keys] * n
 
 
+SMALL_QUER_CONTEXTS = pytest.mark.parametrize(
+    "ring, group, ell_n, ell_g, coeffs",
+    [
+        (JRootRing(2, 4), DerivedCyclicGroup(2, 3), 1, 1, range(4)),
+        (JRootRing(2, 4), AdiagGroup(2), 1, 1, range(4)),
+        (JRootRing(2, 6), AdiagGroup(2), 1, 1, range(6)),
+        (JRootRing(2), AdiagGroup(2), 1, 1, (-1, 0, 1)),
+        (JRootRing(2, 2), AdiagGroup(2), 2, 2, range(2)),
+        (JRootRing(2, 3), AdiagGroup(2), 3, 3, range(3)),
+        (JRootRing(4, 3), AdiagGroup(2), 1, 2, range(3)),
+        (JRootRing(3, 4), DerivedCyclicGroup(2, 4), 1, 1, range(4)),
+        (JRootRing(3, 3), DerivedCyclicGroup(3, 4), 1, 1, range(3)),
+        (JRootRing(3), DerivedCyclicGroup(3, 4), 2, 2, (-1, 0, 1)),
+    ],
+    ids=["mod4-derived3", "mod4", "mod6", "Z", "ell2", "ell3",
+         "j4-ell_g2", "derived4-mod4", "derived4-mod3", "derived4-Z-ell2"],
+)
+
+
+def nonzero_elements(ctx, coeffs):
+    keys = ctx.group.elements()
+    for combo in product(coeffs, repeat=len(keys)):
+        x = ctx.element(zip(keys, combo))
+        if not x.is_zero():
+            yield combo, x
+
+
+def slot_class(group, p: int) -> int:
+    """The slot class the cover gives slot p: adiag's e(h0) is
+    antidiagonal, so conjugating by it swaps the diagonal kernel's entries
+    and slots of equal parity agree; a derived group's cover is abelian,
+    so every slot agrees."""
+    return p % 2 if isinstance(group, AdiagGroup) else 0
+
+
+def assert_merged_system(ctx: GroupRing, x) -> None:
+    """The merged system against the n-block oracle, every oracle entry
+    checked: each slot's oracle block and right-hand side equal those of
+    its class in the merged system, and the merged system holds exactly
+    the class representatives' oracle blocks, in slot order."""
+    a, b = ctx._quer_system(x)
+    rows, coords = oracle_quer_system(ctx, x)
+    size = ctx.group.size()
+    reps = [p for p, _ in ctx._quer_moves()]
+
+    def block(m, i):
+        return m[i * size : (i + 1) * size]
+
+    for p in range(ctx.profile.gr_mul_arity):
+        c = slot_class(ctx.group, p)
+        assert block(rows, p) == block(a, c), p
+        assert block(coords, p) == block(b, c), p
+    assert a == [row for p in reps for row in block(rows, p)]
+    assert b == [v for p in reps for v in block(coords, p)]
+
+
 class TestQuerSystem:
-    """_quer_system (n products and cover translations) equals the
-    column-by-column oracle entry for entry, so quer's answers are those of
-    the n*|G|-product builder."""
+    """_quer_system (one product and one block per slot class of the
+    cover) against the column-by-column n-block oracle, so quer's answers
+    are those of the n*|G|-product builder."""
 
     def test_recorded_inputs(self, workloads):
         checked = 0
@@ -428,7 +485,7 @@ class TestQuerSystem:
             )
             for data, answer in rows:
                 x = ctx.element(data)
-                assert ctx._quer_system(x) == oracle_quer_system(ctx, x), data
+                assert_merged_system(ctx, x)
                 # the recording found some querelement, not always the one
                 # the solve picks; it found none exactly where none exists
                 q = ctx.quer(x)
@@ -437,33 +494,24 @@ class TestQuerSystem:
                 checked += 1
         assert checked == 2040
 
-    @pytest.mark.parametrize(
-        "ring, group, ell_n, ell_g, coeffs",
-        [
-            (JRootRing(2, 4), DerivedCyclicGroup(2, 3), 1, 1, range(4)),
-            (JRootRing(2, 4), AdiagGroup(2), 1, 1, range(4)),
-            (JRootRing(2, 6), AdiagGroup(2), 1, 1, range(6)),
-            (JRootRing(2), AdiagGroup(2), 1, 1, (-1, 0, 1)),
-            (JRootRing(2, 2), AdiagGroup(2), 2, 2, range(2)),
-            (JRootRing(2, 3), AdiagGroup(2), 3, 3, range(3)),
-            (JRootRing(4, 3), AdiagGroup(2), 1, 2, range(3)),
-            (JRootRing(3, 4), DerivedCyclicGroup(2, 4), 1, 1, range(4)),
-            (JRootRing(3, 3), DerivedCyclicGroup(3, 4), 1, 1, range(3)),
-            (JRootRing(3), DerivedCyclicGroup(3, 4), 2, 2, (-1, 0, 1)),
-        ],
-        ids=["mod4-derived3", "mod4", "mod6", "Z", "ell2", "ell3",
-             "j4-ell_g2", "derived4-mod4", "derived4-mod3", "derived4-Z-ell2"],
-    )
+    @SMALL_QUER_CONTEXTS
     def test_every_element_of_small_contexts(self, ring, group, ell_n, ell_g, coeffs):
         ctx = make_group_ring(ring, group, ell_n=ell_n, ell_g=ell_g)
-        keys = group.elements()
-        for combo in product(coeffs, repeat=len(keys)):
-            x = ctx.element(zip(keys, combo))
-            if x.is_zero():
-                continue
-            assert ctx._quer_system(x) == oracle_quer_system(ctx, x), combo
+        for _, x in nonzero_elements(ctx, coeffs):
+            assert_merged_system(ctx, x)
             q = ctx.quer(x)
             assert q is None or ctx._is_quer(q, x)
+
+    @SMALL_QUER_CONTEXTS
+    def test_merged_solve_equals_full_solve(self, ring, group, ell_n, ell_g, coeffs):
+        # dropping the copied blocks changes neither the answer nor the
+        # pick of free coordinates, None included
+        ctx = make_group_ring(ring, group, ell_n=ell_n, ell_g=ell_g)
+        modulus = ring.coordinate_modulus
+        for combo, x in nonzero_elements(ctx, coeffs):
+            assert solve(*ctx._quer_system(x), modulus) == solve(
+                *oracle_quer_system(ctx, x), modulus
+            ), combo
 
     def test_dense_elements(self):
         rng = random.Random(9)
@@ -475,7 +523,45 @@ class TestQuerSystem:
                 x = ctx.element(
                     {g: rng.randint(-4, 4) for g in group.elements()}
                 )
-                assert ctx._quer_system(x) == oracle_quer_system(ctx, x)
+                assert_merged_system(ctx, x)
+
+
+class TestQuerSlotClasses:
+    """The slot classes come from the cover's translations: slot parity
+    for adiag at every ell, one class for a derived group."""
+
+    @staticmethod
+    def translations(ctx, p):
+        cover = ctx.group.cover()
+        keys = ctx.group.elements()
+        return [cover.translation(p, h, keys[0]) for h in keys]
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_adiag_slots_split_by_parity(self, k, ell):
+        ctx = make_group_ring(JRootRing(2), AdiagGroup(k), ell_n=ell, ell_g=ell)
+        n = ctx.profile.gr_mul_arity
+        assert n == 2 * ell + 1
+        assert [p for p, _ in ctx._quer_moves()] == [0, 1]
+        even, odd = self.translations(ctx, 0), self.translations(ctx, 1)
+        assert even != odd
+        for p in range(n):
+            assert self.translations(ctx, p) == (odd if p % 2 else even)
+        x = ctx.element({(0, 0): 2, (1, 0): -1, (1, 1): 3})
+        assert_merged_system(ctx, x)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_derived_group_is_one_class(self, n):
+        # ell = 2 keeps the multiplication arity at least 3 for n = 2
+        ctx = make_group_ring(
+            JRootRing(n - 1), DerivedCyclicGroup(5, n), ell_n=2, ell_g=2
+        )
+        assert [p for p, _ in ctx._quer_moves()] == [0]
+        first = self.translations(ctx, 0)
+        for p in range(ctx.profile.gr_mul_arity):
+            assert self.translations(ctx, p) == first
+        x = ctx.element({0: 2, 1: -1, 3: 4})
+        assert_merged_system(ctx, x)
 
 
 class TestAugmentation:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from pgr import (
 )
 from pgr.cli import VERIFY_AXIOMS
 from pgr.verify import (
+    EXHAUSTIVE_BUDGET,
     TARGETS,
     Law,
     associativity,
@@ -331,6 +333,25 @@ class TestClosureNonderived:
         assert not report.holds
         x, y = report.counterexample.word
         assert cover.in_carrier(cover.mul(cover.embed(x), cover.embed(y)))
+
+    def test_over_budget_raises_before_any_product(self):
+        side = isqrt(EXHAUSTIVE_BUDGET) + 1  # just over: 1001**2 pairs
+        calls = []
+
+        def binary_op(x, y):
+            calls.append((x, y))
+            return x
+
+        with pytest.raises(BudgetExceeded, match=str(side * side)):
+            check_closure_nonderived(binary_op, range(side), lambda p: True)
+        assert calls == []
+
+    def test_at_budget_runs(self):
+        side = isqrt(EXHAUSTIVE_BUDGET)
+        report = check_closure_nonderived(
+            lambda x, y: x, range(side), lambda p: False
+        )
+        assert report.holds and report.cases == side * side
 
     def test_jroot_scalars(self, jz):
         probe = [k for k in range(-5, 6) if k != 0]
