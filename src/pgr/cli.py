@@ -1,6 +1,11 @@
 """Command-line interface and REPL.
 
-Exit codes: 0 success, 1 parse error, 2 arity/domain error, 3 a
+Every verb but ``repl`` is one entry of COMMANDS: the number of argument
+words it takes and a handler that returns (text, JSON payload, exit
+status).  run_command looks the verb up and renders the text or the
+payload; argparse and the REPL take their verbs from the same table.
+
+Exit codes: 0 success, 1 parse error, 2 arity/domain/config error, 3 a
 verification report came back failing, 4 an internal error (any other
 exception, reported as one ``internal error: <Type>: <message>`` line on
 stderr).  ``quer`` on an element with no querelement prints NotFound and
@@ -23,45 +28,27 @@ from .dsl import load_config, parse_basis_label, parse_to_element
 from .errors import BudgetExceeded, DomainError, ParseError, PgrError
 from .groupring import ENUMERATE_BUDGET, GroupRing
 
-VERBS = (
-    "eval", "mul", "add", "aug", "quer", "identities", "table", "verify",
-    "arity", "repl",
-)
-
 VERIFY_AXIOMS = (*verify.TARGETS, "all")
+
+# flag -> (configuration section, key); "--group adiag" names adiag_cyclic
+_FLAG_KEYS = {
+    "ring": ("ring", "kind"), "q": ("ring", "q"), "mod": ("ring", "modulus"),
+    "group": ("group", "kind"), "k": ("group", "k"), "base": ("group", "base"),
+    "arity": ("group", "arity"),
+    "ell_m": ("powers", "ell_m"), "ell_n": ("powers", "ell_n"),
+    "ell_g": ("powers", "ell_g"),
+}
 
 
 def _context_overrides(args) -> dict:
-    overrides: dict = {"ring": {}, "group": {}, "powers": {}}
-    if args.ring is not None:
-        overrides["ring"]["kind"] = args.ring
-    if args.q is not None:
-        overrides["ring"]["q"] = args.q
-    if args.mod is not None:
-        overrides["ring"]["modulus"] = args.mod
-    if args.group is not None:
-        if args.group == "adiag":
-            overrides["group"] = {"kind": "adiag_cyclic", "k": args.k or 3}
-        elif args.group == "derived":
-            overrides["group"] = {
-                "kind": "derived",
-                "base": args.base or "cyclic:3",
-                "arity": args.arity or 3,
-            }
-    else:
-        if args.k is not None:
-            overrides["group"]["k"] = args.k
-        if args.base is not None:
-            overrides["group"]["base"] = args.base
-        if args.arity is not None:
-            overrides["group"]["arity"] = args.arity
-    if args.ell_m is not None:
-        overrides["powers"]["ell_m"] = args.ell_m
-    if args.ell_n is not None:
-        overrides["powers"]["ell_n"] = args.ell_n
-    if args.ell_g is not None:
-        overrides["powers"]["ell_g"] = args.ell_g
-    return {k: v for k, v in overrides.items() if v}
+    overrides: dict = {}
+    for flag, (section, key) in _FLAG_KEYS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            overrides.setdefault(section, {})[key] = value
+    if args.group == "adiag":
+        overrides["group"]["kind"] = "adiag_cyclic"
+    return overrides
 
 
 def _split_operands(ctx: GroupRing, text: str):
@@ -71,69 +58,48 @@ def _split_operands(ctx: GroupRing, text: str):
     return [parse_to_element(ctx, p) for p in parts]
 
 
-def run_command(
-    ctx: GroupRing, verb: str, argument: str, *, seed: int = 0,
-    as_json: bool = False,
-) -> tuple[str, int]:
-    """Dispatch one command against the active context.
-
-    Returns (output text, exit status)."""
-    if verb == "eval":
-        x = parse_to_element(ctx, argument)
-        out = ctx.render(x)
-        return (json.dumps({"result": out}) if as_json else out), 0
-    if verb in ("mul", "add"):
-        operands = _split_operands(ctx, argument)
-        x = ctx.mul(operands) if verb == "mul" else ctx.add(operands)
-        out = ctx.render(x)
-        return (json.dumps({"result": out}) if as_json else out), 0
-    if verb == "aug":
-        x = parse_to_element(ctx, argument)
-        value = ctx.augmentation(x)
-        out = ctx.ring.format_scalar(value)
-        if as_json:
-            return json.dumps({"result": out, "coefficient": value}), 0
-        return out, 0
-    if verb == "quer":
-        x = parse_to_element(ctx, argument)
-        q = ctx.quer(x)
-        if as_json:
-            return (
-                json.dumps(
-                    {
-                        "found": q is not None,
-                        "result": None if q is None else ctx.render(q),
-                    }
-                ),
-                0,
-            )
-        return ("NotFound" if q is None else ctx.render(q)), 0
-    if verb == "identities":
-        labels = [ctx.group.label(e) for e in ctx.group.identities()]
-        if as_json:
-            return json.dumps({"identities": labels}), 0
-        return "\n".join(labels) if labels else "(none)", 0
-    if verb == "table":
-        return _table(ctx, argument, as_json)
-    if verb == "verify":
-        reports = verify.target_reports(ctx, argument.strip() or "all", seed)
-        failed = any(not r.holds for r in reports)
-        if as_json:
-            out = json.dumps({"reports": [r.to_dict() for r in reports]},
-                             sort_keys=True)
-        else:
-            out = "\n".join(r.to_text() for r in reports)
-        return out, 3 if failed else 0
-    if verb == "arity":
-        profile = ctx.profile
-        if as_json:
-            return json.dumps(asdict(profile), sort_keys=True), 0
-        fields = " ".join(f"{k}={v}" for k, v in asdict(profile).items())
-        return f"{ctx.name}: {fields}", 0
-    raise DomainError(f"unknown command {verb!r}")
+def _result(out: str) -> tuple:
+    return out, {"result": out}, 0
 
 
-def _table(ctx: GroupRing, argument: str, as_json: bool) -> tuple[str, int]:
+def _eval(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    """element expression"""
+    return _result(ctx.render(parse_to_element(ctx, argument)))
+
+
+def _mul(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    """element expressions, one per operand, separated by ';'"""
+    return _result(ctx.render(ctx.mul(_split_operands(ctx, argument))))
+
+
+def _add(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    """element expressions, one per operand, separated by ';'"""
+    return _result(ctx.render(ctx.add(_split_operands(ctx, argument))))
+
+
+def _aug(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    """element expression"""
+    value = ctx.augmentation(parse_to_element(ctx, argument))
+    out = ctx.ring.format_scalar(value)
+    return out, {"result": out, "coefficient": value}, 0
+
+
+def _quer(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    """element expression"""
+    q = ctx.quer(parse_to_element(ctx, argument))
+    if q is None:
+        return "NotFound", {"found": False, "result": None}, 0
+    out = ctx.render(q)
+    return out, {"found": True, "result": out}, 0
+
+
+def _identities(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    labels = [ctx.group.label(e) for e in ctx.group.identities()]
+    return "\n".join(labels) or "(none)", {"identities": labels}, 0
+
+
+def _table(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    """generator labels (default: every element of a group of at most 16)"""
     group = ctx.group
     text = argument.strip()
     # whitespace inside a label such as g(0, 1) does not separate labels
@@ -153,21 +119,62 @@ def _table(ctx: GroupRing, argument: str, as_json: bool) -> tuple[str, int]:
             f"a product table of {count} rows is over the budget of "
             f"{ENUMERATE_BUDGET}"
         )
-    rows = []
-    for word in product(gens, repeat=group.arity):
-        rows.append((*word, group.mul(word)))
-    if as_json:
-        return (
-            json.dumps(
-                {"rows": [[group.label(g) for g in row] for row in rows]}
-            ),
-            0,
-        )
-    lines = [
-        " ".join(group.label(g) for g in row[:-1]) + " -> " + group.label(row[-1])
-        for row in rows
+    rows = [
+        [group.label(g) for g in (*word, group.mul(word))]
+        for word in product(gens, repeat=group.arity)
     ]
-    return "\n".join(lines), 0
+    lines = "\n".join(" ".join(row[:-1]) + " -> " + row[-1] for row in rows)
+    return lines, {"rows": rows}, 0
+
+
+def _verify(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    reports = verify.target_reports(ctx, argument.strip() or "all", seed)
+    text = "\n".join(r.to_text() for r in reports)
+    failed = any(not r.holds for r in reports)
+    return text, {"reports": [r.to_dict() for r in reports]}, 3 if failed else 0
+
+
+_verify.__doc__ = f"axiom: one of {', '.join(VERIFY_AXIOMS)}"
+
+
+def _arity(ctx: GroupRing, argument: str, seed: int) -> tuple:
+    fields = asdict(ctx.profile)
+    text = " ".join(f"{k}={v}" for k, v in fields.items())
+    return f"{ctx.name}: {text}", dict(sorted(fields.items())), 0
+
+
+# verb -> (argument words argparse takes: "+", "*" or None, handler); a
+# handler's docstring is its argument's help.  Handlers look up
+# parse_to_element and parse_basis_label in this module's globals when they
+# run, so patching those names here reaches every verb.
+COMMANDS = {
+    "eval": ("+", _eval),
+    "mul": ("+", _mul),
+    "add": ("+", _add),
+    "aug": ("+", _aug),
+    "quer": ("+", _quer),
+    "identities": (None, _identities),
+    "table": ("*", _table),
+    "verify": ("*", _verify),
+    "arity": (None, _arity),
+}
+
+
+def run_command(
+    ctx: GroupRing, verb: str, argument: str, *, seed: int = 0,
+    as_json: bool = False,
+) -> tuple[str, int]:
+    """Dispatch one command against the active context.
+
+    Returns (output text, exit status): the handler's text, or its JSON
+    payload when as_json.  json.dumps keeps a payload's key order, so each
+    handler builds its payload in the order its JSON shows: sorted for
+    verify and arity."""
+    entry = COMMANDS.get(verb)
+    if entry is None:
+        raise DomainError(f"unknown command {verb!r}")
+    text, payload, status = entry[1](ctx, argument, seed)
+    return (json.dumps(payload) if as_json else text), status
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,20 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="JSON output")
 
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, needs_arg in (
-        ("eval", True), ("mul", True), ("add", True), ("aug", True),
-        ("quer", True), ("identities", False), ("table", False),
-        ("verify", False), ("arity", False), ("repl", False),
-    ):
+    for verb, (nargs, handler) in COMMANDS.items():
         p = sub.add_parser(verb, parents=[common])
-        if needs_arg:
-            p.add_argument("expression", nargs="+",
-                           help="element expression(s); ';' separates operands")
-        elif verb == "table":
-            p.add_argument("expression", nargs="*", help="generator labels")
-        elif verb == "verify":
-            p.add_argument("expression", nargs="*",
-                           help=f"axiom: one of {', '.join(VERIFY_AXIOMS)}")
+        if nargs:
+            p.add_argument("expression", nargs=nargs, help=handler.__doc__)
+    sub.add_parser("repl", parents=[common])
     return parser
 
 
@@ -244,8 +242,8 @@ def _repl(ctx: GroupRing, seed: int, as_json: bool,
                 emit("usage: :seed <integer>")
             continue
         verb, _, rest = line.partition(" ")
-        if verb not in VERBS or verb == "repl":
-            emit(f"unknown command {verb!r}; verbs: {', '.join(VERBS[:-1])}")
+        if verb not in COMMANDS:
+            emit(f"unknown command {verb!r}; verbs: {', '.join(COMMANDS)}")
             continue
         try:
             out, _status = run_command(

@@ -241,11 +241,17 @@ def _diagnose_term(ctx: GroupRing, text: str, pos: int) -> NoReturn:
 
 # configuration ---------------------------------------------------------------
 
-DEFAULT_CONFIG = {
-    "ring": {"kind": "jroot", "q": 2},
-    "group": {"kind": "adiag_cyclic", "k": 3},
-    "powers": {"ell_m": 1, "ell_n": 1, "ell_g": 1},
+# (section, kind) -> every key that section takes, with the value it has
+# when left out; any other key is a ConfigError
+SECTIONS = {
+    ("ring", "jroot"): {"kind": "jroot", "q": 2, "modulus": None},
+    ("group", "adiag_cyclic"): {"kind": "adiag_cyclic", "k": 3},
+    ("group", "derived"): {"kind": "derived", "base": "cyclic:3", "arity": 3},
+    ("powers", None): {"ell_m": 1, "ell_n": 1, "ell_g": 1},
 }
+# the kinds a configuration starts from; SECTIONS fills in their keys
+DEFAULT_CONFIG = {"ring": {"kind": "jroot"}, "group": {"kind": "adiag_cyclic"},
+                  "powers": {}}
 
 
 def _require(mapping: dict, key: str, types, where: str):
@@ -255,6 +261,25 @@ def _require(mapping: dict, key: str, types, where: str):
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{where}.{key} has the wrong type: {value!r}")
     return value
+
+
+def _section(config: dict, section: str) -> dict:
+    """A section (its default when missing) with every key its kind takes:
+    the kind must be known, every key given must apply to it, and a key
+    left out takes its SECTIONS value."""
+    values = config.get(section, DEFAULT_CONFIG[section])
+    kind = None if section == "powers" else _require(values, "kind", str, section)
+    keys = SECTIONS.get((section, kind))
+    if keys is None:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    for key in values:
+        if key not in keys:
+            what = section if kind is None else f"{section} kind {kind!r}"
+            raise ConfigError(
+                f"{section}.{key} does not apply to {what}; its keys are "
+                f"{', '.join(keys)}"
+            )
+    return {**keys, **values}
 
 
 def _layered(*layers) -> dict:
@@ -283,27 +308,22 @@ def _layered(*layers) -> dict:
 
 def build_context(config: dict) -> GroupRing:
     """Instantiate a context from a configuration mapping; a missing
-    section takes its default whole."""
+    section takes its default whole, a key left out its SECTIONS value, and
+    a key that does not apply to its section's kind is a ConfigError."""
     config = _layered(config)
-    ring_cfg = config.get("ring", DEFAULT_CONFIG["ring"])
-    kind = _require(ring_cfg, "kind", str, "ring")
-    if kind != "jroot":
-        raise ConfigError(f"unknown ring kind {kind!r}")
+    ring_cfg = _section(config, "ring")
     q = _require(ring_cfg, "q", int, "ring")
-    modulus = ring_cfg.get("modulus")
-    if modulus is not None and (not isinstance(modulus, int) or isinstance(modulus, bool)):
-        raise ConfigError(f"ring.modulus has the wrong type: {modulus!r}")
+    modulus = _require(ring_cfg, "modulus", (int, type(None)), "ring")
     try:
         ring = JRootRing(q, modulus)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    group_cfg = config.get("group", DEFAULT_CONFIG["group"])
-    gkind = _require(group_cfg, "kind", str, "group")
+    group_cfg = _section(config, "group")
     try:
-        if gkind == "adiag_cyclic":
+        if group_cfg["kind"] == "adiag_cyclic":
             group = AdiagGroup(_require(group_cfg, "k", int, "group"))
-        elif gkind == "derived":
+        else:
             base = _require(group_cfg, "base", str, "group")
             m = re.fullmatch(r"cyclic:([0-9]+)", base)
             if m is None:
@@ -317,18 +337,11 @@ def build_context(config: dict) -> GroupRing:
             group = DerivedCyclicGroup(
                 order, _require(group_cfg, "arity", int, "group")
             )
-        else:
-            raise ConfigError(f"unknown group kind {gkind!r}")
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    powers = config.get("powers", {})
-    ells = {}
-    for name in ("ell_m", "ell_n", "ell_g"):
-        value = powers.get(name, 1)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"powers.{name} has the wrong type: {value!r}")
-        ells[name] = value
+    powers = _section(config, "powers")
+    ells = {name: _require(powers, name, int, "powers") for name in powers}
     return make_group_ring(ring, group, **ells)
 
 

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all pgr modules.
 
-Exit-code mapping used by the CLI: parse-level errors exit 1, domain and
-arity errors exit 2, a failed verification report exits 3.
+Exit-code mapping used by the CLI: parse-level errors (ParseError and
+KeyRangeError) exit 1; domain and arity errors (DomainError and its
+subclasses) and configuration errors (ConfigError) exit 2; a failed
+verification report exits 3; any other exception is an internal error and
+exits 4.
 """
 
 from __future__ import annotations

@@ -88,22 +88,24 @@ class AxiomReport:
         return " ".join(parts)
 
     def to_dict(self) -> dict:
+        """The report's fields, keys in sorted order at every level, as
+        the CLI's JSON prints them."""
         return {
-            "structure": self.structure,
             "axiom": self.axiom,
-            "mode": self.mode,
-            "seed": self.seed,
             "cases": self.cases,
-            "status": self.status,
-            "note": self.note,
             "counterexample": None
             if self.counterexample is None
             else {
-                "word": [repr(w) for w in self.counterexample.word],
+                "detail": self.counterexample.detail,
                 "lhs": repr(self.counterexample.lhs),
                 "rhs": repr(self.counterexample.rhs),
-                "detail": self.counterexample.detail,
+                "word": [repr(w) for w in self.counterexample.word],
             },
+            "mode": self.mode,
+            "note": self.note,
+            "seed": self.seed,
+            "status": self.status,
+            "structure": self.structure,
         }
 
     def to_json(self) -> str:
@@ -299,7 +301,6 @@ def check_law(
     *,
     universe: Sequence | None = None,
     sampler: Callable[[random.Random], object] | None = None,
-    mode: str = "auto",
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     budget: int = EXHAUSTIVE_BUDGET,
@@ -307,24 +308,15 @@ def check_law(
 ) -> AxiomReport:
     """Run `law` over words of its width and report the first violation.
 
-    Words come from `universe` or, without one, from `sampler`.
-    mode="auto" exhausts a universe whose words fit the budget and
-    otherwise samples it with an explicit note; mode="exhaustive" refuses
-    an oversized or missing universe instead.  Sampled words are drawn
-    operand by operand from Random(seed)."""
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise DomainError(
-            f"unknown mode {mode!r}: use auto, exhaustive or sampled"
-        )
-    note = None
+    Words come from `universe` or, without one, from `sampler`.  A
+    universe whose words fit the budget is exhausted; a larger one is
+    sampled with an explicit note.  Sampled words are drawn operand by
+    operand from Random(seed)."""
+    mode, count, note = "sampled", samples, None
     if universe is not None:
         universe = list(universe)
         total = len(universe) ** law.width
-        if mode == "exhaustive" or (mode == "auto" and total <= budget):
-            if total > budget:
-                raise BudgetExceeded(
-                    f"{total} cases exceed the exhaustive budget {budget}"
-                )
+        if total <= budget:
             mode, count, seed = "exhaustive", total, None
             words = product(universe, repeat=law.width)
             first = NotImplemented if law.scan is None else law.scan(universe)
@@ -335,19 +327,15 @@ def check_law(
                 # the full word loop follows
                 words = chain((_word_at(universe, law.width, first),), words)
         else:
-            if mode == "auto":
-                note = f"universe of {total} cases over budget; sampled"
+            note = f"universe of {total} cases over budget; sampled"
 
             def sampler(rng):
                 return rng.choice(universe)
 
     elif sampler is None:
         raise DomainError("need a universe or a sampler")
-    elif mode == "exhaustive":
-        raise DomainError("exhaustive mode needs a finite universe")
-    if mode != "exhaustive":
+    if mode == "sampled":
         rng = random.Random(seed)
-        mode, count = "sampled", samples
         words = (
             tuple(sampler(rng) for _ in range(law.width)) for _ in range(samples)
         )

@@ -150,7 +150,7 @@ def test_criterion_4_exhaustive_ternary_associativity(ctx):
         group = ctx.group
         report = check_law(
             associativity(group.mul, 3), universe=group.elements(),
-            mode="exhaustive", structure=group.name,
+            structure=group.name,
         )
         assert report.holds
         assert report.mode == "exhaustive"

@@ -397,6 +397,71 @@ class TestJsonOutput:
         assert payload["m_r"] == 2 and payload["gr_mul_arity"] == 3
 
 
+class TestFlagsThatDoNotApply:
+    @pytest.mark.parametrize(
+        ("flags", "key"),
+        [
+            (["--arity", "4"], "group.arity"),
+            (["--base", "cyclic:7"], "group.base"),
+            (["--group", "adiag", "--base", "cyclic:7", "--arity", "5"], "group.base"),
+            (["--group", "derived", "--k", "5"], "group.k"),
+        ],
+    )
+    def test_flag_is_a_config_error(self, capsys, flags, key):
+        status, out, err = run(capsys, ["arity", *flags])
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: {key} does not apply to group kind")
+
+    @pytest.mark.parametrize(
+        ("config", "key"),
+        [
+            (
+                {"group": {"kind": "derived", "base": "cyclic:4", "arity": 3, "k": 9}},
+                "group.k",
+            ),
+            ({"ring": {"kind": "jroot", "q": 2, "extra": 1}}, "ring.extra"),
+        ],
+    )
+    def test_config_key_is_a_config_error(self, capsys, tmp_path, config, key):
+        path = tmp_path / "ctx.json"
+        path.write_text(json.dumps(config))
+        status, out, err = run(capsys, ["arity", "--config", str(path)])
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: {key} does not apply")
+
+    @pytest.mark.parametrize(
+        ("flags", "name"),
+        [
+            (["--group", "derived"], "jZ[derived[3](C3)]"),
+            (["--group", "derived", "--arity", "5", "--ell-n", "2"],
+             "jZ[derived[5](C3)]"),
+            (["--group", "derived", "--base", "cyclic:5"], "jZ[derived[3](C5)]"),
+            (["--group", "adiag"], "jZ[adiag(C3)]"),
+            (["--group", "adiag", "--k", "4"], "jZ[adiag(C4)]"),
+        ],
+    )
+    def test_group_flag_takes_its_kind_defaults(self, capsys, flags, name):
+        status, out, _ = run(capsys, ["arity", *flags])
+        assert status == 0
+        assert out.startswith(f"{name}: ")
+
+
+class TestCommandTable:
+    def test_parser_and_repl_take_the_table_verbs(self, capsys, monkeypatch):
+        subparsers = cli._build_parser()._subparsers._group_actions[0]
+        assert list(subparsers.choices) == [*cli.COMMANDS, "repl"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("repl\n"))
+        assert main(["repl"]) == 0
+        assert capsys.readouterr().out == (
+            "unknown command 'repl'; verbs: eval, mul, add, aug, quer, "
+            "identities, table, verify, arity\n"
+        )
+
+    def test_run_command_rejects_an_unknown_verb(self):
+        with pytest.raises(cli.DomainError, match="unknown command 'repl'"):
+            cli.run_command(cli.load_config(None, {}), "repl", "")
+
+
 class TestConfigFlow:
     def test_config_file(self, capsys, tmp_path):
         path = tmp_path / "ctx.json"

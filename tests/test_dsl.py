@@ -404,6 +404,52 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_context(cfg)
 
+    @pytest.mark.parametrize(
+        ("cfg", "key"),
+        [
+            (
+                {"group": {"kind": "derived", "base": "cyclic:4", "arity": 3, "k": 9}},
+                "group.k",
+            ),
+            ({"ring": {"kind": "jroot", "q": 2, "extra": 1}}, "ring.extra"),
+            ({"group": {"kind": "adiag_cyclic", "k": 3, "arity": 3}}, "group.arity"),
+            ({"group": {"kind": "adiag_cyclic", "base": "cyclic:7"}}, "group.base"),
+            ({"powers": {"ell_n": 1, "ell_x": 2}}, "powers.ell_x"),
+        ],
+    )
+    def test_key_that_does_not_apply(self, cfg, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} does not apply"):
+            build_context(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"group": {"arity": 4}}, {"group": {"base": "cyclic:7"}}],
+    )
+    def test_override_that_does_not_apply_to_the_default_group(self, overrides):
+        with pytest.raises(ConfigError, match="does not apply to group kind 'adiag_cyclic'"):
+            load_config(None, overrides)
+
+    def test_override_that_does_not_apply_to_the_file_group(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"group": {"kind": "derived"}}))
+        with pytest.raises(ConfigError, match="^group.k does not apply"):
+            load_config(str(path), {"group": {"k": 5}})
+
+    @pytest.mark.parametrize(
+        ("group", "name"),
+        [
+            ({"kind": "derived"}, "jZ[derived[3](C3)]"),
+            ({"kind": "derived", "base": "cyclic:2"}, "jZ[derived[3](C2)]"),
+            ({"kind": "derived", "base": "cyclic:5"}, "jZ[derived[3](C5)]"),
+            ({"kind": "adiag_cyclic"}, "jZ[adiag(C3)]"),
+        ],
+    )
+    def test_group_takes_its_kind_defaults(self, tmp_path, group, name):
+        assert build_context({"group": group}).name == name
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"group": group}))
+        assert load_config(str(path)).name == name
+
     def test_file_loading_with_flag_overrides(self, tmp_path):
         path = tmp_path / "ctx.json"
         path.write_text(json.dumps(EXAMPLE1))

@@ -91,22 +91,6 @@ class TestTotalAssociativity:
         ]
         assert runs[0] == runs[1]
 
-    def test_exhaustive_budget(self):
-        group = AdiagGroup(3)
-        with pytest.raises(BudgetExceeded):
-            check_law(
-                associativity(group.mul, 3), universe=group.elements(),
-                mode="exhaustive", budget=100,
-            )
-
-    def test_unknown_mode_rejected(self):
-        group = AdiagGroup(3)
-        with pytest.raises(DomainError, match="auto, exhaustive or sampled"):
-            check_law(
-                associativity(group.mul, 3), universe=group.elements(),
-                mode="exhaustiv",
-            )
-
     def test_auto_degrades_to_sampling_with_note(self):
         group = AdiagGroup(3)
         report = check_law(
