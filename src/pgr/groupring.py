@@ -14,14 +14,17 @@ operation gathers depends on the ring's declared linearity
 (PolyadicRing.coordinate_modulus):
 
 - over a linear ring (coordinates in Z or Z_N) R[G] is a free module on
-  the group, and every operation ends in one integer-coordinate gather
-  (_gathered): element, add and augmentation add plain ints per key, and
-  a ring word of any length is its value on ones times the product of
-  its coordinates, so the product runs as ell_g stages of the n_g-ary
-  group product, each keeping one running integer sum per key.  The
-  gather reduces each coordinate mod N once, drops zeros and orders the
-  keys by group.position; no ring addition or multiplication is called,
-  whatever m_r and n_r are;
+  the group, and every operation ends in one integer-coordinate gather:
+  element, add and augmentation add plain ints per key, and a ring word
+  of any length is its value on ones times the product of its
+  coordinates.  The product runs as ell_g stages of the n_g-ary group
+  product without calling the group: the group's binary cover
+  (groups.BinaryCover) gives each key an integer code per slot parity,
+  a stage word's key is the sum of its letters' codes, and each stage
+  keeps one running integer sum per distinct code sum, decoded once.
+  The gather (_reduced) reduces each coordinate mod N once, drops zeros
+  and orders the keys by group.position; no ring addition or
+  multiplication is called, whatever m_r and n_r are;
 - any other ring (an adjoined zero, a zeroless semigroup) keeps every
   contribution and folds each key's bag with the ring addition
   (_accumulate), zero-padding it to an admissible length.
@@ -50,23 +53,38 @@ MUL_BUDGET = 10**7  # default cap on support-product combinations
 ENUMERATE_BUDGET = 10**6
 
 
-def _lock_step(columns: list):
-    """(keys, coefficients) word pairs per support combination, in the
-    order of mul_terms: the key product and the coefficient product of the
-    transposed operands walk in lock-step."""
-    return zip(
-        product(*(ks for ks, _ in columns)), product(*(cs for _, cs in columns))
-    )
+def _stage(codes: Sequence[tuple], coeffs: Sequence[tuple]) -> dict:
+    """One n_g-ary group product over a linear ring, from each slot's
+    codes and coefficients: a running integer sum of coefficient products
+    per code sum, one per support combination."""
+    sums: dict = {}
+    get = sums.get
+    for s, c in zip(map(sum, product(*codes)), map(prod, product(*coeffs))):
+        sums[s] = get(s, 0) + c
+    return sums
+
+
+def _merged(pairs: Iterable[tuple]) -> dict:
+    """The integers paired with each key, added up per key."""
+    sums: dict = {}
+    get = sums.get
+    for g, c in pairs:
+        sums[g] = get(g, 0) + c
+    return sums
 
 
 class GroupRingElement:
     """A formal sum in canonical form: group-key-sorted terms, no zero
     coefficients.  Construct through GroupRing.element / monomial / zero."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_cover", "_keys", "_coeffs", "_codes")
 
     def __init__(self, terms: tuple):
         self.terms = terms
+        # the columns GroupRing.mul reads, kept from its first use on: the
+        # terms never change, so an operand is transposed once and coded
+        # once per slot parity for the context's cover
+        self._cover = None
 
     def support(self) -> tuple:
         return tuple(g for g, _ in self.terms)
@@ -122,6 +140,14 @@ class GroupRing:
         if self._linear:
             # a linear ring word is its value on ones times c1 * ... * cL
             self._unit = self._ring_word((1,) * profile.gr_mul_arity)
+            self._cover = group.cover()
+            # the parity of each operand's slot in its stage word: the
+            # first n_g fill slots 0..n_g-1, each later block slots 1..n_g-1
+            n = profile.n_g
+            self._parities = [
+                (p if p < n else (p - n) % (n - 1) + 1) % 2
+                for p in range(profile.gr_mul_arity)
+            ]
         self._moves: list | None = None  # _quer_moves, built on first use
 
     # construction ----------------------------------------------------------
@@ -140,7 +166,7 @@ class GroupRing:
                 )
             pairs.append((g, self._scalar(c)))
         if self._linear:
-            return self._gathered(pairs)
+            return self._reduced(_merged(pairs))
         buckets: dict = {}
         for g, c in pairs:
             buckets.setdefault(g, []).append(c)
@@ -166,15 +192,10 @@ class GroupRing:
             raise NoZero(f"{self.ring.name} has no zero element")
         return GroupRingElement(())
 
-    def _gathered(self, pairs: Iterable[tuple], scale: int = 1) -> GroupRingElement:
-        """The element over a linear ring whose coordinate at each key is
-        scale times the sum of the integers paired with that key: reduced
-        mod N once (PolyadicRing.coordinate_modulus), zeros dropped, keys
-        ordered by group.position."""
-        sums: dict = {}
-        get = sums.get
-        for g, c in pairs:
-            sums[g] = get(g, 0) + c
+    def _reduced(self, sums: dict, scale: int = 1) -> GroupRingElement:
+        """The element over a linear ring with coordinate scale * sums[g]
+        at each key g: reduced mod N once (PolyadicRing.coordinate_modulus),
+        zeros dropped, keys ordered by group.position."""
         n = self._modulus
         terms = []
         for g in sorted(sums, key=self.group.position):
@@ -245,7 +266,7 @@ class GroupRing:
         over a linear ring, the coordinate sum of the operands' terms."""
         self._check_operands(operands, self.profile.gr_add_arity, "addition")
         if self._linear:
-            return self._gathered([t for x in operands for t in x.terms])
+            return self._reduced(_merged([t for x in operands for t in x.terms]))
         keys: set = set()
         for x in operands:
             keys.update(x.support())
@@ -287,45 +308,58 @@ class GroupRing:
 
         Equal to gathering mul_terms.  Over a linear ring the ring word is
         the constant _unit (its value on ones) times math.prod of the
-        coordinates, so the product runs as ell_g stages of the group
-        product, one running integer sum per key, and ends in one
-        _gathered: an ell_g = 2 product over adiag(C3) costs 2 * 9**3
-        group products instead of 9**5 words, for any n_r.  Any other ring
-        gathers each key's contributions in expansion order with
-        _accumulate.  BudgetExceeded is raised for the same operands as
-        mul_terms.
+        coordinates, and a group word's key is decoded from the sum of its
+        letters' kernel codes (groups.BinaryCover.encode, by slot parity),
+        so the product runs as ell_g stages of n_g slots with no ring or
+        group call.  Each stage adds one coefficient product per support
+        combination into a running sum per code sum (_stage) and decodes
+        each distinct sum once; the next stage takes the running product,
+        gathered per key, in slot 0, and the last ends in one _reduced.
+        An operand's columns and codes are kept on it from its first
+        product on, so reusing it costs no transposition or encoding.
+        An ell_g = 2 product over adiag(C3) walks 2 * 9**3 combinations
+        instead of 9**5, for any n_r.  Any other ring gathers each key's
+        contributions in expansion order with _accumulate.  BudgetExceeded
+        is raised for the same operands as mul_terms.
         """
         combos = self._combinations(operands)
         if not combos:
             return GroupRingElement(())  # a zero operand empties the product
-        # each operand transposed once into (keys, coefficients)
-        columns = [tuple(zip(*x.terms)) for x in operands]
         if not self._linear:
             buckets: dict = {}
-            for ks, cs in _lock_step(columns):
+            for ks, cs in zip(
+                product(*(x.support() for x in operands)),
+                product(*(x.coefficients() for x in operands)),
+            ):
                 buckets.setdefault(self._group_word(ks), []).append(
                     self._ring_word(cs)
                 )
             return self._canonical(
                 [(g, self._accumulate(cs)) for g, cs in buckets.items()]
             )
+        cover = self._cover
+        encode, decode = cover.encode, cover.decode
+        codes, coeffs = [], []
+        for x, parity in zip(operands, self._parities):
+            if x._cover is not cover:
+                x._cover, x._codes = cover, [None, None]
+                x._keys, x._coeffs = zip(*x.terms)
+            c = x._codes[parity]
+            if c is None:
+                c = x._codes[parity] = encode(parity, x._keys)
+            codes.append(c)
+            coeffs.append(x._coeffs)
         width = self.profile.n_g
-        acc = self._linear_stage(columns[:width])
-        for i in range(width, len(columns), width - 1):
-            column = (tuple(acc), tuple(acc.values()))
-            acc = self._linear_stage([column, *columns[i : i + width - 1]])
-        return self._gathered(acc.items(), self._unit)
-
-    def _linear_stage(self, columns: list) -> dict:
-        """One n_g-ary group product over a linear ring: a running integer
-        sum of coordinate products per key, left for _gathered to reduce."""
-        sums: dict = {}
-        get = sums.get
-        group_mul = self.group.mul
-        for ks, cs in _lock_step(columns):
-            g = group_mul(ks)
-            sums[g] = get(g, 0) + prod(cs)
-        return sums
+        sums = _stage(codes[:width], coeffs[:width])
+        for i in range(width, len(operands), width - 1):
+            # the running product, gathered per key, takes slot 0
+            acc = _merged(zip(encode(0, decode(sums)), sums.values()))
+            sums = _stage(
+                [tuple(acc), *codes[i : i + width - 1]],
+                [tuple(acc.values()), *coeffs[i : i + width - 1]],
+            )
+        out = _merged(zip(decode(sums), sums.values()))
+        return self._reduced(out, self._unit)
 
     def scalar_action(
         self, scalars: Sequence, x: GroupRingElement
@@ -484,7 +518,7 @@ class GroupRing:
         class's block, the row of g moved by cover.translation(p,
         keys[j], h0).  Built once per context."""
         if self._moves is None:
-            cover = self.group.cover()
+            cover = self._cover
             keys = self.group.elements()
             position = self.group.position
             classes: dict = {}  # translations -> first slot, in slot order

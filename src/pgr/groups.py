@@ -22,11 +22,23 @@ diagonal, so it leaves the carrier: the evidence of nonderivedness); a
 derived group sits in C_k under +.  The carrier is one coset of the
 normal subgroup K generated by the quotients embed(g) * embed(h)^-1, and
 in both families K is abelian (the diagonal matrices, or C_k itself).
+
+Because K is abelian, a group word is a sum of kernel coordinates, and
+each cover packs a key's coordinates into one integer code:
+``encode(parity, keys)`` gives each key's code in a slot of that parity
+(0 even, 1 odd) of one n-ary word, and ``decode(sums)`` maps each sum of
+a word's codes back to the word's product.  For adiag(C_k) the code is
+m + n*r in even slots and n + m*r in odd ones (the odd slots swap the
+exponents), with radix r = 3*(k-1) + 1 so that the sum of three codes
+never carries, and decode folds each axis mod k; for derived[n](C_k) the
+code is g itself and decode is s % k.  A product over a linear ring then
+needs integer sums only, never a call to the group's mul, and the codes
+are computed from the keys alone, so the group is never listed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import product
 from math import gcd
 
@@ -165,6 +177,17 @@ class BinaryCover:
     def in_carrier(self, x) -> bool:
         raise NotImplementedError
 
+    def encode(self, parity: int, keys: Iterable) -> tuple:
+        """Each key's kernel coordinates, packed into one integer, in a
+        slot of the given parity (0 even, 1 odd) of one n-ary group word:
+        the codes of a word's letters add up, without carrying, to an
+        integer that decode maps to the word's product."""
+        raise NotImplementedError
+
+    def decode(self, sums: Iterable[int]) -> list:
+        """The key of each word whose letters' codes add up to the sum."""
+        raise NotImplementedError
+
     def translation(self, p: int, h, h0):
         """The ambient element t with  L*e(h)*R == t*L*e(h0)*R  for every
         product L of p embedded letters and every R (e = embed).
@@ -188,12 +211,19 @@ class MonomialCover(BinaryCover):
     An element is (s, u, v): for s = 0 the diagonal matrix with a^u and
     a^v on the diagonal, for s = 1 the antidiagonal one with a^u upper
     right and a^v lower left, so the carrier key (m, n) embeds as
-    (1, m, n).  The coset map is
-    s, and its kernel, the diagonal matrices, is abelian.
+    (1, m, n).  The coset map is s, and its kernel, the diagonal
+    matrices, is abelian.
+
+    A ternary word of carrier keys is diagonal(m1 + n2 + m3, n1 + m2 + n3)
+    times the embedded identity, so its kernel coordinates are the sums of
+    (m, n) over the even slots and (n, m) over the odd one: the code packs
+    them as first + second * radix, and three codes of at most k - 1 per
+    axis sum below the radix on each axis.
     """
 
     def __init__(self, k: int):
         self.k = k
+        self.radix = 3 * (k - 1) + 1
 
     def mul(self, x, y):
         s, a, b = x
@@ -219,6 +249,16 @@ class MonomialCover(BinaryCover):
     def in_carrier(self, x) -> bool:
         return x[0] == 1
 
+    def encode(self, parity: int, keys: Iterable) -> tuple:
+        r = self.radix
+        if parity:
+            return tuple([n + m * r for m, n in keys])
+        return tuple([m + n * r for m, n in keys])
+
+    def decode(self, sums: Iterable[int]) -> list:
+        r, k = self.radix, self.k
+        return [(s % r % k, s // r % k) for s in sums]
+
 
 class CyclicCover(BinaryCover):
     """C_k under +, the cover of derived[n](C_k): the carrier is all of it,
@@ -241,6 +281,13 @@ class CyclicCover(BinaryCover):
 
     def in_carrier(self, x) -> bool:
         return True
+
+    def encode(self, parity: int, keys: Iterable) -> tuple:
+        return tuple(keys)
+
+    def decode(self, sums: Iterable[int]) -> list:
+        k = self.k
+        return [s % k for s in sums]
 
 
 class AdiagGroup(NaryGroup):

@@ -23,7 +23,8 @@ universe, or the universe is not hashable, check_law tests the words one
 by one instead.
 
 TARGETS names the checks the CLI runs on a context, and target_reports
-runs one of them, or all of them in table order.
+runs one of them, or all of them in table order; when the nonderived
+target would be over its budget, "all" is refused before any target runs.
 """
 
 from __future__ import annotations
@@ -373,11 +374,7 @@ def check_closure_nonderived(
     if not universe:
         raise DomainError("nonderivedness needs a nonempty carrier")
     total = len(universe) ** 2
-    if total > EXHAUSTIVE_BUDGET:
-        raise BudgetExceeded(
-            f"{total} binary products exceed the exhaustive budget "
-            f"{EXHAUSTIVE_BUDGET}"
-        )
+    _pair_budget(total)
     stayed: tuple | None = None
     left = 0
     for x, y in product(universe, repeat=2):
@@ -398,6 +395,16 @@ def check_closure_nonderived(
     return AxiomReport(
         structure, "nonderived-closure", "exhaustive", total, "holds", None, note
     )
+
+
+def _pair_budget(total: int) -> None:
+    """BudgetExceeded when a nonderivedness check of total binary products
+    is over EXHAUSTIVE_BUDGET."""
+    if total > EXHAUSTIVE_BUDGET:
+        raise BudgetExceeded(
+            f"{total} binary products exceed the exhaustive budget "
+            f"{EXHAUSTIVE_BUDGET}"
+        )
 
 
 def _nonderived(group: NaryGroup) -> AxiomReport:
@@ -553,8 +560,10 @@ TARGETS: dict[str, Callable[[GroupRing, int], list[AxiomReport]]] = {
 
 def target_reports(ctx: GroupRing, target: str, seed: int = 0) -> list[AxiomReport]:
     """Run one named target of TARGETS, or every target in table order for
-    "all"."""
+    "all".  "all" is refused before any target runs when the nonderived
+    target would be over its budget, with that target's BudgetExceeded."""
     if target == "all":
+        _pair_budget(ctx.group.size() ** 2)
         return [r for run in TARGETS.values() for r in run(ctx, seed)]
     if target not in TARGETS:
         raise DomainError(

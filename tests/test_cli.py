@@ -262,6 +262,10 @@ class TestExitCodes:
         assert "100000000" in err and out == ""
         assert time.perf_counter() - start < 10  # 10**8 pairs took minutes
 
+    def test_verify_all_over_budget_is_the_nonderived_error(self, capsys):
+        _, _, single = run(capsys, ["verify", "nonderived", "--k", "100"])
+        assert run(capsys, ["verify", "all", "--k", "100"]) == (2, "", single)
+
     def test_unknown_verify_target_is_2(self, capsys):
         status, _, _ = run(capsys, ["verify", "everything"])
         assert status == 2

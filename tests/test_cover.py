@@ -4,8 +4,10 @@ The cover law is checked exhaustively: projecting the ambient product of
 the embedded letters gives the group word, for every admissible word, with
 ell_g = 1 and 2.  The antidiagonal family's ambient product is audited
 against the 2x2 matrix model, the carrier test against the behaviour of
-the binary products it replaced, and the translation quer relies on
-(BinaryCover.translation) against its defining identity.
+the binary products it replaced, the translation quer relies on
+(BinaryCover.translation) against its defining identity, and the kernel
+codes the product adds up (BinaryCover.encode / decode) against the group
+word, exhaustively on small groups and at the carry edge on large ones.
 """
 
 from __future__ import annotations
@@ -177,3 +179,49 @@ def test_translation_moves_the_reference_letter(group):
                 if left is not None:
                     e, e0 = cover.mul(left, e), cover.mul(left, e0)
                 assert e == cover.mul(t, e0)
+
+
+CODEC_GROUPS = [
+    *(AdiagGroup(k) for k in (2, 3, 4, 5)),
+    *(DerivedCyclicGroup(k, n) for n in (2, 3, 4, 5) for k in range(1, 7)),
+]
+
+
+def decoded(cover, word) -> object:
+    """The key decoded from the sum of the letters' codes, letter p coded
+    for a slot of parity p % 2."""
+    total = sum(cover.encode(p % 2, [g])[0] for p, g in enumerate(word))
+    (g,) = cover.decode([total])
+    return g
+
+
+@pytest.mark.parametrize("group", CODEC_GROUPS, ids=[g.name for g in CODEC_GROUPS])
+def test_summed_codes_decode_to_the_group_word(group):
+    """Exhaustive over every n-letter word; the columns are coded once and
+    each word's codes summed, as the product's stages do."""
+    cover = group.cover()
+    keys = group.elements()
+    n = group.arity
+    columns = [cover.encode(p % 2, keys) for p in range(n)]
+    words = list(product(keys, repeat=n))
+    sums = [sum(codes) for codes in product(*columns)]
+    assert cover.decode(sums) == [group.mul(w) for w in words]
+
+
+@pytest.mark.parametrize("k", [2, 7, 10**5])
+def test_codes_do_not_carry_at_the_largest_exponents(k):
+    """Every exponent k - 1, the largest sum of each axis: no axis spills
+    into the other, and the codes of a ternary word of adiag(C_k) stay
+    below radix**2."""
+    group = AdiagGroup(k)
+    cover = group.cover()
+    top = (k - 1, k - 1)
+    word = (top, top, top)
+    assert decoded(cover, word) == group.mul(word) == ((3 * k - 3) % k,) * 2
+    assert sum(cover.encode(p % 2, [top])[0] for p in range(3)) < cover.radix**2
+    mixed = ((k - 1, 0), (k - 1, 0), (k - 1, 0))  # odd slot swaps the axes
+    assert decoded(cover, mixed) == group.mul(mixed)
+    for n in (2, 5):
+        derived = DerivedCyclicGroup(k, n)
+        word = (k - 1,) * n
+        assert decoded(derived.cover(), word) == derived.mul(word)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from pgr import (
     adjoin_zero,
     make_group_ring,
 )
+from pgr import groupring
 from pgr.linsolve import solve
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -786,46 +788,75 @@ class TestMulEqualsGatheredTerms:
                 tight.mul_terms(ops)
 
     @staticmethod
-    def _counted_stages(ring, group, **powers):
-        """A context on ring and group that records their mul words, and
-        five dense seeded operands; nothing recorded yet."""
-        group_words, ring_words = [], []
-        group_mul, ring_mul = group.mul, ring.mul
-        group.mul = lambda word: group_words.append(word) or group_mul(word)
-        ring.mul = lambda word: ring_words.append(word) or ring_mul(word)
+    def _counted_stages(monkeypatch, ring, group, **powers):
+        """A context on ring and group that counts their mul calls and
+        records the combinations each stage of the linear product walks,
+        and five dense seeded operands; nothing counted yet."""
+        calls = {"ring.mul": 0, "group.mul": 0}
+
+        def counted(name, op):
+            def run(word):
+                calls[name] += 1
+                return op(word)
+            return run
+
+        group.mul = counted("group.mul", group.mul)
+        ring.mul = counted("ring.mul", ring.mul)
+        stages = []
+        walk = groupring._stage
+
+        def stage(codes, coeffs):
+            stages.append(prod(map(len, codes)))
+            return walk(codes, coeffs)
+
+        monkeypatch.setattr(groupring, "_stage", stage)
         ctx = make_group_ring(ring, group, **powers)
         rng = random.Random(7)
         ops = [
             ctx.element({g: rng.randint(1, 9) for g in ctx.group.elements()})
             for _ in range(5)
         ]
-        group_words.clear()
-        ring_words.clear()  # the context took the ring word's value on ones
-        return ctx, ops, group_words, ring_words
+        calls.update(dict.fromkeys(calls, 0))  # the context took _unit
+        return ctx, ops, calls, stages
 
-    def test_power_runs_as_stages(self):
+    def test_power_runs_as_stages(self, monkeypatch):
         # the ell = 2 product over adiag(C3) on dense operands: 9**5
-        # combinations expanded with two group products each, 2 * 9**3
-        # group products staged, and no ring product at all
-        ctx, ops, group_words, ring_words = self._counted_stages(
-            JRootRing(2), AdiagGroup(3), ell_n=2, ell_g=2
+        # combinations expanded with two group products each, against two
+        # stages of 9**3 combinations and no ring or group product at all
+        ctx, ops, calls, stages = self._counted_stages(
+            monkeypatch, JRootRing(2), AdiagGroup(3), ell_n=2, ell_g=2
         )
         gathered = ctx.element([(g, c) for c, g in ctx.mul_terms(ops)])
-        assert len(group_words) == 2 * 9**5
-        group_words.clear()
-        ring_words.clear()
+        assert calls["group.mul"] == 2 * 9**5
+        calls.update(dict.fromkeys(calls, 0))
         assert ctx.mul(ops) == gathered
-        assert (len(group_words), len(ring_words)) == (2 * 9**3, 0)
+        assert calls == {"ring.mul": 0, "group.mul": 0}
+        assert stages == [9**3, 9**3]
 
-    def test_unequal_arities_run_as_stages(self):
+    def test_unequal_arities_run_as_stages(self, monkeypatch):
         # j4Z[adiag(C3)] with ell_g = 2: n_r = 5 != n_g = 3, and the ring
         # word still folds into the group stages
-        ctx, ops, group_words, ring_words = self._counted_stages(
-            JRootRing(4), AdiagGroup(3), ell_g=2
+        ctx, ops, calls, stages = self._counted_stages(
+            monkeypatch, JRootRing(4), AdiagGroup(3), ell_g=2
         )
         product = ctx.mul(ops)
-        assert (len(group_words), len(ring_words)) == (2 * 9**3, 0)
+        assert calls == {"ring.mul": 0, "group.mul": 0}
+        assert stages == [9**3, 9**3]
         assert product == ctx.element([(g, c) for c, g in ctx.mul_terms(ops)])
+
+    def test_an_operand_shared_by_contexts_is_coded_for_each(self):
+        # the codes an operand keeps belong to one context's cover: the
+        # same elements alternate between adiag(C3) and adiag(C4) products,
+        # in even and odd slots
+        c3 = make_group_ring(JRootRing(2), AdiagGroup(3))
+        c4 = make_group_ring(JRootRing(2), AdiagGroup(4))
+        x = c3.element({(1, 2): 2, (0, 1): -1})
+        y = c3.element({(2, 2): 3})
+        for ctx in (c3, c4, c3, c4):
+            for ops in ([x, y, x], [y, x, y]):
+                assert ctx.mul(ops) == ctx.element(
+                    [(g, c) for c, g in ctx.mul_terms(ops)]
+                )
 
     def test_adjoined_zero_absorbs_and_sums_leave_the_carrier(self):
         ctx = make_group_ring(adjoin_zero(OddJRootSemigroup(2)), AdiagGroup(3))
@@ -937,6 +968,32 @@ def _gather_case(draw):
     )
 
 
+@st.composite
+def _large_group_case(draw):
+    """A (linear, bucket) context pair on adiag(C_k) for k up to 10**5,
+    over Z or Z_N, with ell = 1 to 3 as in _gather_contexts, and
+    gr_mul_arity sparse operands: 1 to 3 terms, exponents anywhere in
+    0..k-1 (often k - 1, where codes add up the most), and negative and
+    multi-digit coefficients."""
+    k = draw(st.one_of(st.sampled_from([2, 3, 10**5]), st.integers(2, 10**5)))
+    modulus = draw(st.sampled_from([None, 4, 7, 10**9 + 7]))
+    ell = draw(st.integers(1, 3))
+    ring_q, ell_n = draw(st.sampled_from([(2, ell), (1, 2 * ell)]))
+    ring = JRootRing(ring_q, modulus)
+    group = AdiagGroup(k)
+    powers = {"ell_m": ell, "ell_n": ell_n, "ell_g": ell}
+    linear = make_group_ring(ring, group, **powers)
+    bucket = make_group_ring(_BucketRing(ring), group, **powers)
+    exponent = st.one_of(st.just(k - 1), st.integers(0, k - 1))
+    term = st.tuples(
+        st.tuples(exponent, exponent),
+        st.integers(-10**6, 10**6).filter(bool),
+    )
+    element = st.lists(term, min_size=1, max_size=3, unique_by=lambda t: t[0])
+    count = linear.profile.gr_mul_arity
+    return linear, bucket, [linear.element(draw(element)) for _ in range(count)]
+
+
 class TestLinearGatherEqualsBucketPath:
     """Over a j-root ring, element, add, mul and augmentation gather in
     integer coordinates (GroupRing._gathered); a wrapper ring that declares
@@ -963,6 +1020,18 @@ class TestLinearGatherEqualsBucketPath:
             assert _result(lambda: linear.scalar_action(scalars, x)) == _result(
                 lambda: bucket.scalar_action(scalars, x)
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_large_group_case())
+    def test_sparse_products_on_large_groups(self, case):
+        # codes of exponents up to k - 1 = 99999 add up in the stages; the
+        # group is never listed
+        linear, bucket, factors = case
+        product = linear.mul(factors)
+        assert product == linear.element(
+            [(g, c) for c, g in linear.mul_terms(factors)]
+        )
+        assert product == bucket.mul(factors)
 
     def test_bad_entries_raise_in_input_order(self):
         linear, bucket = GATHER_CONTEXTS[0]

@@ -295,6 +295,22 @@ class TestTargets:
     def test_cli_targets_are_the_table(self):
         assert VERIFY_AXIOMS == (*TARGETS, "all")
 
+    def test_all_over_the_nonderived_budget_runs_no_target(self, monkeypatch):
+        # adiag(C100): 10**8 binary products; "all" is refused with the
+        # nonderived target's own error before the first target runs
+        ctx = make_group_ring(JRootRing(2), AdiagGroup(100))
+        with pytest.raises(BudgetExceeded) as single:
+            target_reports(ctx, "nonderived")
+        ran = []
+        monkeypatch.setattr("pgr.verify.TARGETS", {
+            name: (lambda ctx, seed, name=name: ran.append(name) or [])
+            for name in TARGETS
+        })
+        with pytest.raises(BudgetExceeded) as every:
+            target_reports(ctx, "all")
+        assert str(every.value) == str(single.value)
+        assert ran == []
+
 
 class TestClosureNonderived:
     def test_adiag3_all_products_leave(self, adiag3):
